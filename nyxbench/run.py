@@ -40,7 +40,7 @@ from spans import percentile, quartiles, tail_percentile
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
 WORKLOADS_FILE = os.path.join(HERE, "workloads.json")
-STATE_DIR = os.path.join(ROOT, ".nyxbench")
+STATE_DIR = os.path.join(HERE, ".state")
 
 #: Measured rounds per workload without ``--workload``.
 DEFAULT_ROUNDS = 5
@@ -164,9 +164,12 @@ def summarize(workload: str, kind: str, rounds: List[dict], budget: int,
 
     add("execs_per_s", [r["execs_per_s"] for r in measured],
         units.get("execs_per_s", "1/s"))
+    # A round whose exception escaped before its first exec completed
+    # has no intervals; _round_checks reports it.
+    timed = [r for r in measured if r["intervals_us"]]
     for q in (50, 90, 99):
         name = "exec_p%d_us" % q
-        add(name, [percentile(r["intervals_us"], q) for r in measured],
+        add(name, [percentile(r["intervals_us"], q) for r in timed],
             units.get(name, "us"))
     # The tail over every exec of the run: the highest percentile that
     # still has ten samples beyond it.
@@ -275,13 +278,13 @@ def _repeat_round(args, workload: str, index: int) -> dict:
 
 
 def run_all(args, table: dict) -> Dict[str, List[dict]]:
-    """Every workload for ``--rounds`` rounds, the starting workload
-    rotating each round.  Each workload's campaign 0 runs once more:
-    traced right after its untraced round (so that host speed drifts
-    little between the two), or untraced at the end."""
+    """Every workload for :data:`DEFAULT_ROUNDS` rounds, the starting
+    workload rotating each round.  Each workload's campaign 0 runs once
+    more: traced right after its untraced round (so that host speed
+    drifts little between the two), or untraced at the end."""
     names = list(table["workloads"])
     rounds: Dict[str, List[dict]] = {name: [] for name in names}
-    for r in range(args.rounds):
+    for r in range(DEFAULT_ROUNDS):
         for name in names[r % len(names):] + names[:r % len(names)]:
             rounds[name].append(run_round(name, args.seed, r,
                                           execs=args.execs))
@@ -358,11 +361,51 @@ def _worse(better: str, base: float, new: float) -> float:
     return change if better == "lower" else -change
 
 
+def _outputs_by_campaign(seed: int, summary: dict) -> Dict[int, dict]:
+    """Deterministic outputs of each campaign a run measured, keyed by
+    campaign seed.  Every analyze pass reads the same tree, so all of
+    them share one key."""
+    out: Dict[int, dict] = {}
+    for r in summary["rounds"]:
+        if "crashed" not in r:
+            key = (campaign_seed(seed, r["index"])
+                   if summary["kind"] == "fuzz" else 0)
+            out.setdefault(key, r["deterministic"])
+    return out
+
+
+def _compare_outputs(name: str, a: dict, b: dict) -> int:
+    """One row per deterministic output over the campaigns both runs
+    measured; returns the number of failed rows.  Any mismatch on a
+    shared campaign fails, and so does having no campaign in common."""
+    da = _outputs_by_campaign(a["seed"], a["workloads"][name])
+    db = _outputs_by_campaign(b["seed"], b["workloads"][name])
+    shared = sorted(set(da) & set(db))
+    if not shared:
+        print("%-16s %-18s no campaign in common  FAILED" % (name, "outputs"))
+        return 1
+    failed = 0
+    for key in sorted(set(da[shared[0]]) | set(db[shared[0]])):
+        changed = [c for c in shared if da[c].get(key) != db[c].get(key)]
+        if changed:
+            failed += 1
+            first = changed[0]
+            verdict = ("CHANGED in %d of %d campaigns (campaign %d: %s -> %s)"
+                       % (len(changed), len(shared), first,
+                          da[first].get(key), db[first].get(key)))
+        else:
+            verdict = "identical in %d campaigns" % len(shared)
+        print("%-16s %-18s %s" % (name, key, verdict))
+    return failed
+
+
 def compare(path_a: str, path_b: str, bench: dict) -> int:
     """Print one row per workload and metric; 1 on any regression.
 
-    A = the parent, B = the change.  Deterministic metrics are compared
-    with bound 0, and only when both sides ran the same campaigns.
+    A = the parent, B = the change.  Deterministic outputs (edges,
+    crashes, sim_execs_per_s, stats_checksum, the analyze report digest)
+    are compared campaign by campaign over the campaigns both runs
+    measured: their bound is 0.
     """
     a, b = load_json(path_a), load_json(path_b)
     regressions = 0
@@ -377,10 +420,6 @@ def compare(path_a: str, path_b: str, bench: dict) -> int:
             continue
         rows = [(m["name"], m["better"], m["bound"])
                 for m in bench["end_to_end"]]
-        same = (a.get("seed") == b.get("seed")
-                and wa["extra"]["campaigns"] == wb["extra"]["campaigns"])
-        if same and wa["kind"] == "fuzz":
-            rows += [(n, "higher", 0.0) for n in DETERMINISTIC_FUZZ]
         rows.append(("fail_rate", "lower", 0.0))
         for metric, better, bound in rows:
             ma = wa["metrics"].get(metric)
@@ -389,11 +428,9 @@ def compare(path_a: str, path_b: str, bench: dict) -> int:
                 continue
             worse = _worse(better, ma["value"], mb["value"])
             spread = 0.0
-            if metric not in DETERMINISTIC_FUZZ:
-                for m in (ma, mb):
-                    if "q1" in m and m["value"]:
-                        spread = max(spread,
-                                     (m["q3"] - m["q1"]) / abs(m["value"]))
+            for m in (ma, mb):
+                if "q1" in m and m["value"]:
+                    spread = max(spread, (m["q3"] - m["q1"]) / abs(m["value"]))
             if spread > bound:
                 all_better = all(_worse(better, va, vb) < 0
                                  for va in ma["values"] for vb in mb["values"])
@@ -408,12 +445,7 @@ def compare(path_a: str, path_b: str, bench: dict) -> int:
             print("%-16s %-18s %12s %12s %+7.1f%% %6.1f%% %6.1f%%  %s"
                   % (name, metric, _fmt(ma["value"]), _fmt(mb["value"]),
                      100 * worse, 100 * bound, 100 * spread, verdict))
-        if same and wa["digest"] != wb["digest"]:
-            print("%-16s %-18s %s -> %s  changed"
-                  % (name, "outputs_digest", wa["digest"], wb["digest"]))
-        elif not same:
-            print("%-16s deterministic outputs not compared: the two runs "
-                  "measured different campaigns" % name)
+        regressions += _compare_outputs(name, a, b)
     return 1 if regressions else 0
 
 
@@ -436,9 +468,6 @@ def parse_args(argv):
                         choices=(0, 1),
                         help="trace the closing round and print per-layer "
                              "metrics")
-    parser.add_argument("--rounds", type=int, default=DEFAULT_ROUNDS,
-                        help="measured rounds per workload without "
-                             "--workload")
     parser.add_argument("--execs", type=int, default=None,
                         help="override every fuzz workload's exec budget "
                              "(smoke tests)")

@@ -113,38 +113,17 @@ class SpanRecorder:
                           % (i, name, s, e, p, x))
 
 
-def covered(intervals: Sequence[Tuple[float, float]], lo: float,
-            hi: float) -> float:
-    """Length of ``[lo, hi]`` covered by the union of ``intervals``."""
-    total = 0.0
-    cur_lo = cur_hi = None
-    for a, b in sorted(intervals):
-        a = max(a, lo)
-        b = min(b, hi)
-        if b <= a:
-            continue
-        if cur_hi is None or a > cur_hi:
-            if cur_hi is not None:
-                total += cur_hi - cur_lo
-            cur_lo, cur_hi = a, b
-        elif b > cur_hi:
-            cur_hi = b
-    if cur_hi is not None:
-        total += cur_hi - cur_lo
-    return total
-
-
 def self_times(starts: Sequence[float], ends: Sequence[float],
                parents: Sequence[int]) -> List[float]:
-    """Each span's duration minus the part its child spans cover."""
-    children: Dict[int, List[Tuple[float, float]]] = {}
+    """Each span's duration minus its child spans' durations.
+
+    Spans come from one thread's call stack, so a span's children never
+    overlap and lie inside it.
+    """
+    out = [e - s for s, e in zip(starts, ends)]
     for i, p in enumerate(parents):
         if p >= 0:
-            children.setdefault(p, []).append((starts[i], ends[i]))
-    out = []
-    for i, (s, e) in enumerate(zip(starts, ends)):
-        kids = children.get(i)
-        out.append(e - s - (covered(kids, s, e) if kids else 0.0))
+            out[p] -= ends[i] - starts[i]
     return out
 
 

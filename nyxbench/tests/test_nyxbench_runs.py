@@ -32,8 +32,7 @@ def last_json(proc):
 
 
 def test_every_metric_is_printed_for_every_workload():
-    proc = bench("--seed", "3", "--rounds", "1", "--execs", "150",
-                 "--trace")
+    proc = bench("--seed", "3", "--execs", "150", "--trace")
     assert proc.returncode == 0, proc.stdout[-3000:] + proc.stderr[-3000:]
     rows = [line.split() for line in proc.stdout.splitlines()]
     for workload in WORKLOADS:
@@ -99,33 +98,78 @@ def test_fails_without_the_program(tmp_path):
     assert proc.stdout.strip() == ""
 
 
-def _result(values, edges):
+
+
+def _round(index, edges=100, checksum="c"):
+    return {"index": index, "traced": False,
+            "deterministic": {"edges": edges, "stats_checksum": checksum}}
+
+
+def _result(values, campaigns=(0, 1), edges=100, checksum="c"):
     q1, med, q3 = run.quartiles(values)
     metric = {"value": med, "unit": "1/s", "q1": q1, "q3": q3,
               "n": len(values), "values": values}
-    return {"kind": "fuzz", "digest": "x", "extra": {"campaigns": [0, 1]},
-            "metrics": {"execs_per_s": metric,
-                        "edges": {"value": edges, "unit": "count"}}}
+    return {"kind": "fuzz", "metrics": {"execs_per_s": metric},
+            "rounds": [_round(i, edges, checksum) for i in campaigns]}
 
 
-@pytest.mark.parametrize("b_values, b_edges, code", [
-    ([100, 101, 99, 100, 100], 100, 0),    # same
-    ([85, 86, 84, 85, 85], 100, 1),        # 15% slower: regression
-    ([120, 121, 119, 120, 120], 100, 0),   # faster
-    ([100, 101, 99, 100, 100], 99, 1),     # lost an edge: bound 0
-    ([60, 140, 100, 70, 130], 100, 0),     # spread wider than bound
-])
-def test_compare_applies_bounds(tmp_path, capsys, b_values, b_edges, code):
-    bench_cfg = {"end_to_end": [{"name": "execs_per_s", "unit": "1/s",
-                                 "better": "higher", "bound": 0.1}]}
+BOUNDS = {"end_to_end": [{"name": "execs_per_s", "unit": "1/s",
+                          "better": "higher", "bound": 0.1}]}
+A_VALUES = [100, 101, 99, 100, 100]
+
+
+def _compare(tmp_path, b_result):
     paths = []
-    for tag, values, edges in (("a", [100, 101, 99, 100, 100], 100),
-                               ("b", b_values, b_edges)):
+    for tag, result in (("a", _result(A_VALUES)), ("b", b_result)):
         path = tmp_path / ("%s.json" % tag)
-        path.write_text(json.dumps({"seed": 1, "workloads": {
-            "w": _result(values, edges)}}))
+        path.write_text(json.dumps({"seed": 1, "workloads": {"w": result}}))
         paths.append(str(path))
-    assert run.compare(paths[0], paths[1], bench_cfg) == code
-    printed = capsys.readouterr().out
+    return run.compare(paths[0], paths[1], BOUNDS)
+
+
+@pytest.mark.parametrize("b_values, code", [
+    ([100, 101, 99, 100, 100], 0),    # same
+    ([85, 86, 84, 85, 85], 1),        # 15% slower: regression
+    ([120, 121, 119, 120, 120], 0),   # faster
+    ([60, 140, 100, 70, 130], 0),     # spread wider than bound
+])
+def test_compare_applies_bounds(tmp_path, capsys, b_values, code):
+    assert _compare(tmp_path, _result(b_values)) == code
     if b_values[0] == 60:
-        assert "unresolved" in printed
+        assert "unresolved" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("campaigns, edges, checksum, code", [
+    ((0, 1, 2), 100, "c", 0),   # a faster host ran one campaign more
+    ((1,), 100, "c", 0),        # a slower one ran fewer
+    ((0, 1), 99, "d", 1),       # lost an edge: bound 0
+    ((0, 1), 101, "d", 1),      # any change on a shared campaign fails
+    ((1, 2), 100, "d", 1),      # shared campaign 1 differs
+    ((5, 6), 100, "c", 1),      # no campaign in common
+])
+def test_compare_checks_outputs_of_shared_campaigns(tmp_path, capsys,
+                                                     campaigns, edges,
+                                                     checksum, code):
+    b = _result(A_VALUES, campaigns, edges, checksum)
+    assert _compare(tmp_path, b) == code
+    printed = capsys.readouterr().out
+    if code == 0:
+        assert "identical in %d campaigns" % len(set(campaigns) & {0, 1}) \
+            in printed
+
+
+def test_round_without_execs_is_reported_not_fatal():
+    good = {"index": 0, "traced": False, "execs_per_s": 100.0,
+            "intervals_us": [10.0, 12.0], "setup_s": 1.0, "rss_mb": 50.0,
+            "attempted": 100, "failed": 0, "error": None,
+            "deterministic": {"edges": 5, "crashes": 0,
+                              "sim_execs_per_s": 1.0}}
+    # An exception escaped before the round's first exec completed.
+    broken = dict(good, index=1, execs_per_s=0.0, intervals_us=[],
+                  failed=100, error="Traceback\nRuntimeError: boom\n")
+    summary = run.summarize("w", "fuzz", [good, broken], 100, BOUNDS)
+    assert summary["metrics"]["exec_p50_us"]["n"] == 1
+    assert "round 1: exception escaped: RuntimeError: boom" \
+        in summary["checks"]
+    result = run.final_line([summary], BOUNDS, traced=False, prefix=False)
+    assert result["correct"] is False and result["failed"] == 100

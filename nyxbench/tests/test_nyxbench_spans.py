@@ -1,18 +1,11 @@
-"""Span arithmetic: self time, interval cover, percentiles."""
+"""Span arithmetic: self time, percentiles."""
 
 import types
 
 import pytest
 
-from spans import (SpanRecorder, covered, percentile, quartiles, self_times,
+from spans import (SpanRecorder, percentile, quartiles, self_times,
                    tail_percentile)
-
-
-def test_covered_merges_overlaps_and_clips():
-    assert covered([(1, 3), (2, 5), (7, 8)], 0, 10) == 5
-    assert covered([(-5, 2), (9, 20)], 0, 10) == 3
-    assert covered([], 0, 10) == 0
-    assert covered([(4, 4)], 0, 10) == 0
 
 
 def test_self_time_of_nested_spans():
@@ -24,14 +17,6 @@ def test_self_time_of_nested_spans():
     assert self_times(starts, ends, parents) == [3, 2, 4, 1, 2]
     # Self times partition the top-level spans.
     assert sum(self_times(starts, ends, parents)) == 12
-
-
-def test_self_time_counts_overlapping_children_once():
-    # Children that overlap (not possible on one thread, but the rule
-    # is "the part of the interval the children cover") or stick out
-    # of their parent are merged and clipped.
-    assert self_times([0, 2, 3, 8], [10, 6, 7, 12],
-                      [-1, 0, 0, 0])[0] == 10 - 5 - 2
 
 
 def test_recorder_nests_spans_and_numbers_execs():
