@@ -403,7 +403,8 @@ def compare(path_a: str, path_b: str, bench: dict) -> int:
     """Print one row per workload and metric; 1 on any regression.
 
     A = the parent, B = the change.  Deterministic outputs (edges,
-    crashes, sim_execs_per_s, stats_checksum, the analyze report digest)
+    crashes, sim_execs_per_s, suffix_execs, stats_checksum, the analyze
+    report digest)
     are compared campaign by campaign over the campaigns both runs
     measured: their bound is 0.
     """
