@@ -3,6 +3,12 @@
 Run by ``run.py`` as ``python3 nyxbench/child.py CONFIG_JSON``; prints
 one JSON result object as its last line of output.
 
+Times are in reference seconds (:mod:`refclock`): set-up from the start
+of :func:`main` to the first measured exec, then the measured work.
+Untraced rounds mark the reference clock when each exec (or, on
+``analyze-tree``, each ``ast.parse``) returns; traced rounds only time
+the whole window, so that the spans are not split by bursts.
+
 Path independence: the coverage tracer hashes each code object's
 ``co_filename`` into its coverage sites, so the same commit checked out
 at two paths would run two different campaigns.  This process imports
@@ -19,11 +25,13 @@ import json
 import os
 import resource
 import sys
-import time
 import traceback
 import types
 from contextlib import redirect_stdout
 from importlib.machinery import PathFinder, SourceFileLoader
+from typing import Callable
+
+from refclock import ReferenceClock
 
 #: File-name prefix every ``repro`` code object gets, whatever the
 #: checkout's real location.
@@ -37,19 +45,26 @@ def _rename(code: types.CodeType, filename: str) -> types.CodeType:
 
 
 class _CanonicalLoader(SourceFileLoader):
-    def __init__(self, fullname: str, path: str, canonical: str) -> None:
+    def __init__(self, fullname: str, path: str, canonical: str,
+                 on_load: Callable[[], None]) -> None:
         super().__init__(fullname, path)
         self.canonical = canonical
+        self.on_load = on_load
 
     def get_code(self, fullname):
         return _rename(super().get_code(fullname), self.canonical)
+
+    def exec_module(self, module) -> None:
+        super().exec_module(module)
+        self.on_load()
 
 
 class _CheckoutFinder:
     """Finds ``repro`` modules under one ``src/`` directory only."""
 
-    def __init__(self, src: str) -> None:
+    def __init__(self, src: str, on_load: Callable[[], None]) -> None:
         self.src = src
+        self.on_load = on_load
 
     def find_spec(self, fullname, path=None, target=None):
         if fullname.partition(".")[0] != "repro":
@@ -59,13 +74,15 @@ class _CheckoutFinder:
         if spec is not None and isinstance(spec.loader, SourceFileLoader):
             rel = os.path.relpath(spec.origin, self.src).replace(os.sep, "/")
             spec.loader = _CanonicalLoader(fullname, spec.origin,
-                                           CANONICAL_SRC + "/" + rel)
+                                           CANONICAL_SRC + "/" + rel,
+                                           self.on_load)
         return spec
 
 
-def import_repro(src: str):
-    """Import ``repro`` from ``src`` and check where it came from."""
-    sys.meta_path.insert(0, _CheckoutFinder(src))
+def import_repro(src: str, on_load: Callable[[], None]):
+    """Import ``repro`` from ``src`` and check where it came from;
+    ``on_load`` runs as each ``repro`` module finishes loading."""
+    sys.meta_path.insert(0, _CheckoutFinder(src, on_load))
     import repro
     origin = os.path.realpath(repro.__file__)
     if not origin.startswith(os.path.realpath(src) + os.sep):
@@ -85,33 +102,31 @@ def _peak_rss_mb() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
-def _intervals_us(stamps, window_start: float) -> list:
-    """Microseconds between consecutive exec completions (the first
-    from the start of the measured window)."""
-    out = []
-    prev = window_start
-    for stamp in stamps:
-        out.append(round((stamp - prev) * 1e6, 2))
-        prev = stamp
-    return out
-
-
-def _stamp_execs(executor, stamps) -> None:
-    """Untraced timing: one clock read when each exec completes."""
-    clock = time.perf_counter
-    append = stamps.append
-    for name in ("run_full", "run_suffix"):
-        fn = getattr(executor, name)
+def _mark_after(obj, names, ref: ReferenceClock) -> None:
+    """Untraced timing: a mark on ``ref`` when each call returns."""
+    mark = ref.mark
+    for name in names:
+        fn = getattr(obj, name)
 
         def wrapper(*args, _fn=fn, **kwargs):
             result = _fn(*args, **kwargs)
-            append(clock())
+            mark()
             return result
 
-        setattr(executor, name, wrapper)
+        setattr(obj, name, wrapper)
 
 
-def run_fuzz(cfg: dict, spec: dict, inputs: list) -> dict:
+def _timings(setup: ReferenceClock, ref: ReferenceClock) -> dict:
+    """What every round reports from its two reference clocks."""
+    return {"setup_s": setup.elapsed(),
+            "setup_host_s": setup.host_elapsed(),
+            "wall_s": ref.host_elapsed(),
+            "ref_s": ref.elapsed(),
+            "intervals_us": [round(gap * 1e6, 2) for gap in ref.intervals()]}
+
+
+def run_fuzz(cfg: dict, spec: dict, inputs: list,
+             setup: ReferenceClock) -> dict:
     from repro.fuzz.campaign import build_campaign
     from repro.fuzz.input import packets_input
     from repro.targets import PROFILES
@@ -141,18 +156,17 @@ def run_fuzz(cfg: dict, spec: dict, inputs: list) -> dict:
                                   checkpoint_every=every,
                                   manifest=manifest, journal_sync=False)
     fuzzer.begin_campaign()
-    ready = time.clock_gettime(time.CLOCK_MONOTONIC)
+    setup.finish()
     seed_execs = fuzzer.stats.execs
 
     trace = None
-    stamps = []
     if cfg["traced"]:
         from layers import FuzzTrace
         trace = FuzzTrace(handles, durable)
-    else:
-        _stamp_execs(handles.executor, stamps)
     error = None
-    start = time.perf_counter()
+    ref = ReferenceClock()
+    if trace is None:
+        _mark_after(handles.executor, ("run_full", "run_suffix"), ref)
     try:
         if durable is not None:
             stats = durable.run()
@@ -163,7 +177,7 @@ def run_fuzz(cfg: dict, spec: dict, inputs: list) -> dict:
     except Exception:  # one failed round is reported, not fatal
         error = traceback.format_exc()
         stats = fuzzer.stats
-    wall = time.perf_counter() - start
+    ref.finish()
     execs = stats.execs - seed_execs
 
     machine = handles.machine
@@ -171,12 +185,10 @@ def run_fuzz(cfg: dict, spec: dict, inputs: list) -> dict:
                    + machine.snapshot_corruptions)
     rebuilds = handles.executor.snapshot_rebuilds
     lost = budget - stats.execs if error else 0
-    out = {
-        "ready": ready,
-        "wall_s": wall,
+    out = _timings(setup, ref)
+    out.update({
         "execs": execs,
-        "execs_per_s": execs / wall if wall > 0 else 0.0,
-        "intervals_us": _intervals_us(stamps, start),
+        "execs_per_s": execs / out["ref_s"],
         "rss_mb": _peak_rss_mb(),
         "attempted": budget,
         "failed": corruptions + rebuilds + lost,
@@ -190,15 +202,16 @@ def run_fuzz(cfg: dict, spec: dict, inputs: list) -> dict:
             "suffix_execs": stats.suffix_execs,
             "stats_checksum": stats_digest(stats),
         },
-    }
+    })
     if trace is not None:
-        out["layers"] = trace.metrics(wall, execs)
+        out["layers"] = trace.metrics(out["wall_s"], execs)
         if cfg.get("spans"):
             trace.rec.write_tsv(cfg["spans"])
     return out
 
 
-def run_analyze(cfg: dict, spec: dict) -> dict:
+def run_analyze(cfg: dict, spec: dict, setup: ReferenceClock) -> dict:
+    import ast
     import importlib
 
     from layers import ANALYSIS_FAMILIES
@@ -208,7 +221,7 @@ def run_analyze(cfg: dict, spec: dict) -> dict:
     # cost in set-up for traced and untraced rounds alike.
     for module, _func, _family in ANALYSIS_FAMILIES:
         importlib.import_module(module)
-    ready = time.clock_gettime(time.CLOCK_MONOTONIC)
+    setup.finish()
     report = os.path.join(cfg["workdir"], "report.json")
     os.makedirs(cfg["workdir"], exist_ok=True)
     trace = None
@@ -218,49 +231,56 @@ def run_analyze(cfg: dict, spec: dict) -> dict:
     error = None
     code = None
     sink = io.StringIO()
-    start = time.perf_counter()
+    ref = ReferenceClock()
+    if trace is None:
+        # Every lint family parses source files, a few hundred times a
+        # pass: the reference bursts run between parses.
+        _mark_after(ast, ("parse",), ref)
     try:
         with redirect_stdout(sink):
             code = main(list(spec["argv"]) + ["--json", report])
     except Exception:  # one failed pass is reported, not fatal
         error = traceback.format_exc()
-    wall = time.perf_counter() - start
+    ref.finish()
     digest = None
     if os.path.exists(report):
         with open(report, "rb") as handle:
             digest = hashlib.sha1(handle.read()).hexdigest()
     failed = 0 if (code == 0 and error is None) else 1
-    out = {
-        "ready": ready,
-        "wall_s": wall,
+    out = _timings(setup, ref)
+    out.update({
         "execs": 1,
-        "execs_per_s": 1.0 / wall if wall > 0 else 0.0,
-        "intervals_us": [wall * 1e6],
+        "execs_per_s": 1.0 / out["ref_s"],
+        # One exec is the whole pass.
+        "intervals_us": [out["ref_s"] * 1e6],
         "rss_mb": _peak_rss_mb(),
         "attempted": 1,
         "failed": failed,
         "exit_code": code,
         "error": error,
         "deterministic": {"report_digest": digest},
-    }
+    })
     if trace is not None:
-        out["layers"] = trace.metrics(wall)
+        out["layers"] = trace.metrics(out["wall_s"])
         if cfg.get("spans"):
             trace.rec.write_tsv(cfg["spans"])
     return out
 
 
 def main(argv) -> int:
+    # Set-up runs from here to the first measured exec, with a reference
+    # burst between module imports.
+    setup = ReferenceClock()
     cfg = json.loads(argv[1])
     with open(cfg["workloads_file"], encoding="utf-8") as handle:
         table = json.load(handle)
     spec = table["workloads"][cfg["workload"]]
     os.chdir(cfg["root"])
-    import_repro(os.path.join(cfg["root"], "src"))
+    import_repro(os.path.join(cfg["root"], "src"), setup.mark)
     if spec["kind"] == "fuzz":
-        out = run_fuzz(cfg, spec, table["inputs"][spec["inputs"]])
+        out = run_fuzz(cfg, spec, table["inputs"][spec["inputs"]], setup)
     else:
-        out = run_analyze(cfg, spec)
+        out = run_analyze(cfg, spec, setup)
     print(json.dumps(out, sort_keys=True))
     return 0
 

@@ -15,6 +15,10 @@ campaign's luck.  The first campaign runs once more (traced, with
 ``--trace``), and the deterministic outputs of its two rounds must
 match.
 
+Wall-time metrics are in reference seconds (see ``refclock.py``): host
+time scaled by a fixed burst of Python work run next to it, so that the
+shared host's changes of speed cancel out.
+
 The last line of output is one JSON object with ``correct``,
 ``attempted``, ``failed`` and ``metrics``; the exit code is non-zero
 when any check fails.
@@ -90,7 +94,6 @@ def run_round(workload: str, seed: int, index: int, traced: bool = False,
            "spans": spans}
     argv = [sys.executable, os.path.join(HERE, "child.py"), json.dumps(cfg)]
     head = {"index": index, "traced": traced}
-    spawned = time.clock_gettime(time.CLOCK_MONOTONIC)
     try:
         proc = subprocess.run(argv, cwd=ROOT, env=_child_env(),
                               capture_output=True, text=True,
@@ -106,7 +109,6 @@ def run_round(workload: str, seed: int, index: int, traced: bool = False,
                     % (proc.returncode, proc.stderr.strip()[-2000:]))
     result = json.loads(lines[-1])
     result.update(head)
-    result["setup_s"] = result["ready"] - spawned
     return result
 
 
@@ -155,27 +157,46 @@ def summarize(workload: str, kind: str, rounds: List[dict], budget: int,
     units = {m["name"]: m["unit"] for m in bench["end_to_end"]}
     metrics: Dict[str, dict] = {}
 
-    def add(name: str, values: List[float], unit: str) -> None:
-        """The median over rounds, with its quartiles."""
+    def add(name: str, values: List[float], unit: str,
+            value: Optional[float] = None) -> None:
+        """The median over rounds (or ``value``), with the rounds'
+        quartiles."""
         if values:
             q1, med, q3 = quartiles(values)
-            metrics[name] = {"value": med, "unit": unit, "q1": q1, "q3": q3,
+            metrics[name] = {"value": med if value is None else value,
+                             "unit": unit, "q1": q1, "q3": q3,
                              "n": len(values), "values": values}
 
+    # Throughput is the run's: all execs over all measured time.  On
+    # ftp-chain one campaign's rate ranges over 2.4x with its seed, and
+    # resampled from 100 campaigns this spread about a fifth less
+    # between runs than the median round's rate.
     add("execs_per_s", [r["execs_per_s"] for r in measured],
-        units.get("execs_per_s", "1/s"))
+        units.get("execs_per_s", "1/s"),
+        value=(sum(r["execs"] for r in measured)
+               / sum(r["ref_s"] for r in measured)) if measured else None)
     # A round whose exception escaped before its first exec completed
     # has no intervals; _round_checks reports it.
     timed = [r for r in measured if r["intervals_us"]]
-    for q in (50, 90, 99):
+    for q in (50, 90):
         name = "exec_p%d_us" % q
         add(name, [percentile(r["intervals_us"], q) for r in timed],
             units.get(name, "us"))
-    # The tail over every exec of the run: the highest percentile that
-    # still has ten samples beyond it.
+    # A round holds too few execs for its own p99: p99 and the tail (the
+    # highest percentile that still has ten samples beyond it) are taken
+    # over every exec of the run.
     gaps = [g for r in measured for g in r["intervals_us"]]
-    extra: Dict[str, object] = {"exec_samples": len(gaps),
-                                "campaigns": [r["index"] for r in measured]}
+    if gaps:
+        metrics["exec_p99_us"] = {"value": percentile(gaps, 99), "unit": "us"}
+    extra: Dict[str, object] = {
+        "exec_samples": len(gaps),
+        "campaigns": [r["index"] for r in measured],
+        # Host speed against the reference (above 1: faster), and what
+        # the rounds measured in host seconds.
+        "host_speed": quartiles([r["ref_s"] / r["wall_s"]
+                                 for r in measured] or [0.0])[1],
+        "host_execs_per_s": quartiles([r["execs"] / r["wall_s"]
+                                       for r in measured] or [0.0])[1]}
     tail = tail_percentile(len(gaps))
     if tail is not None:
         extra["exec_tail"] = {"percentile": tail,
@@ -185,7 +206,7 @@ def summarize(workload: str, kind: str, rounds: List[dict], budget: int,
     add("rss_mb", [r["rss_mb"] for r in measured],
         units.get("rss_mb", "MiB"))
     if kind == "analyze":
-        add("pass_s", [r["wall_s"] for r in measured], "s")
+        add("pass_s", [r["ref_s"] for r in measured], "s")
     if kind == "fuzz":
         for name in DETERMINISTIC_FUZZ:
             add(name, [r["deterministic"][name] for r in measured],
@@ -210,9 +231,11 @@ def summarize(workload: str, kind: str, rounds: List[dict], budget: int,
                 layers[name] = quartiles([r["layers"].get(name, 0.0)
                                           for r in traced])[1]
         # A traced round runs the same campaign as an untraced one, so
-        # the ratio of their window times is the wrappers' cost.
-        plain = {r["index"]: r["wall_s"] for r in good if not r["traced"]}
-        ratios = [r["wall_s"] / plain[r["index"]] - 1.0 for r in traced
+        # the ratio of their window times is the wrappers' cost.  A traced
+        # round has bursts only at its ends, so its reference time
+        # follows host speed more coarsely.
+        plain = {r["index"]: r["ref_s"] for r in good if not r["traced"]}
+        ratios = [r["ref_s"] / plain[r["index"]] - 1.0 for r in traced
                   if r["index"] in plain]
         layers["trace_overhead"] = quartiles(ratios)[1] if ratios else 0.0
     return {"workload": workload, "kind": kind, "metrics": metrics,
@@ -247,6 +270,10 @@ def print_summary(summary: dict) -> None:
               ">= 10 of %d samples beyond]"
               % (name, "exec_tail_us", _fmt(tail["value"]), "us",
                  _fmt(tail["percentile"]), extra["exec_samples"]))
+    print("%-16s %-20s %14s %-12s  [reference s per host s; execs/s "
+          "in host seconds %s]" % (name, "host_speed",
+                                   _fmt(extra["host_speed"]), "ratio",
+                                   _fmt(extra["host_execs_per_s"])))
     print("%-16s %-20s %s  [campaigns %s]" % (name, "outputs_digest",
                                               summary["digest"],
                                               extra["campaigns"]))

@@ -160,6 +160,7 @@ def test_compare_checks_outputs_of_shared_campaigns(tmp_path, capsys,
 
 def test_round_without_execs_is_reported_not_fatal():
     good = {"index": 0, "traced": False, "execs_per_s": 100.0,
+            "execs": 2, "wall_s": 0.02, "ref_s": 0.02,
             "intervals_us": [10.0, 12.0], "setup_s": 1.0, "rss_mb": 50.0,
             "attempted": 100, "failed": 0, "error": None,
             "deterministic": {"edges": 5, "crashes": 0,
