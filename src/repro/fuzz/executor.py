@@ -4,13 +4,16 @@ The executor interprets input bytecode op by op, driving the
 interceptor (connections, packets, EOF), the guest scheduler and the
 snapshot machinery:
 
-* ``run_full`` executes an input from the top, optionally creating the
-  incremental snapshot after a chosen packet (the policy's pick, or an
-  explicit ``snapshot`` marker op in the input);
-* ``run_suffix`` re-executes only the ops after the snapshot point
-  against the incremental snapshot — the §3.4 fast path;
-* after every execution the VM is reset to whichever snapshot is
-  active, with the reset cost charged to the simulated clock.
+* ``run_full`` executes an input from the top, optionally capturing a
+  snapshot chain node after each chosen packet (the policy's picks, or
+  explicit ``snapshot`` marker ops in the input): the first node is the
+  paper's incremental snapshot, chain layer 1, and each later one
+  stacks a layer on it;
+* ``run_suffix`` re-executes only the ops after a node's snapshot point
+  against that node — the §3.4 fast path;
+* after every execution the VM is reset to the chain node it descends
+  from (or the root), with the reset cost charged to the simulated
+  clock.
 
 **Prefix-trace elision.**  Execution here is deterministic: replaying
 the same op prefix from the same snapshot produces the same site
@@ -102,8 +105,7 @@ class ExecResult:
     #: Packets the target actually read (recv'd) during the run —
     #: inputs that kill or stall the target stop consuming early.
     packets_consumed: int = 0
-    #: True when the run only replayed a suffix from the incremental
-    #: snapshot.
+    #: True when the run only replayed a suffix from a chain node.
     suffix_run: bool = False
     #: True when the watchdog stopped the run: the target exceeded its
     #: per-exec simulated-time budget (the paper's timeout class).
@@ -116,17 +118,16 @@ class ExecResult:
 
 @dataclass
 class _SuffixState:
-    """Captured host-side interceptor state at the snapshot point."""
+    """Captured host-side interceptor state at a chain node's snapshot
+    point (the op before ``resume_index``)."""
 
     resume_index: int
     conns: Dict
     sid_to_conn: Dict
     values_produced: int
-    #: The input whose prefix produced the snapshot, and the op index
-    #: the snapshot was taken at — enough to rebuild the incremental
-    #: snapshot from the root if a restore finds it corrupted.
+    #: The input whose prefix produced the snapshot — enough to rebuild
+    #: the chain from the root if a restore finds it corrupted.
     base_input: Optional[FuzzInput] = None
-    snapshot_op_index: Optional[int] = None
     #: The capture run's trace recording: the per-snapshot-generation
     #: fold cache that suffix runs elide their unmutated sub-prefix
     #: against.  Lives and dies with this state, so placement moves and
@@ -150,9 +151,9 @@ class NyxExecutor:
         self.interceptor = interceptor
         self.tracer = tracer
         self.max_ops = max_ops
-        #: Deepest overlay chain this executor will stack (1 = the
-        #: classic single incremental snapshot; markers and multi-point
-        #: placements only chain when this allows it).
+        #: Deepest snapshot chain this executor will stack (1 = the
+        #: paper's single incremental snapshot; markers and multi-point
+        #: placements only stack layers when this allows it).
         self.max_chain_depth = max_chain_depth
         #: Watchdog budget: simulated seconds one execution may burn
         #: before it is stopped and classified as a timeout.  ``None``
@@ -165,10 +166,10 @@ class NyxExecutor:
         #: elided vs fully-traced executions through this).
         self.trace_elision = trace_elision
         self.execs = 0
-        #: Incremental snapshots rebuilt from the root after a restore
-        #: found them corrupted (self-healing).
+        #: Snapshot chains rebuilt from the root after a restore found
+        #: them corrupted (self-healing).
         self.snapshot_rebuilds = 0
-        #: Bottom of the degradation ladder: incremental snapshots kept
+        #: Bottom of the degradation ladder: snapshot chains kept
         #: failing validation, so every run now starts from the root.
         self.degraded_root_only = False
         #: Host-side elision counters (stamped into CampaignStats).
@@ -177,9 +178,8 @@ class NyxExecutor:
         self.prefix_elided_ops = 0  # nyx: state[ephemeral]
         self.elision_invalidations = 0  # nyx: state[ephemeral]
         self._rebuild_failures = 0
-        self._suffix: Optional[_SuffixState] = None
         #: Chain nodes, shallow to deep; node ``i`` is chain depth
-        #: ``i + 1`` and ``_suffix`` aliases the deepest one.
+        #: ``i + 1``.
         self._chain_nodes: List[_SuffixState] = []
         self._recordings: "OrderedDict[int, TraceRecording]" = OrderedDict()
         self.recording_cache_limit = RECORDING_CACHE_LIMIT
@@ -204,21 +204,20 @@ class NyxExecutor:
         """Execute the whole input from the active snapshot (root).
 
         ``snapshot_after_packet`` is a 0-based position into the
-        input's packet list; the incremental snapshot is created right
-        after that packet is consumed, and subsequent ``run_suffix``
-        calls replay only the remainder.  ``snapshot_after_packets``
-        generalizes it to an ascending list of positions: the first
-        becomes the incremental snapshot, each later one a chain
-        overlay stacked on top (a one-element list is byte-identical to
-        the scalar form).
+        input's packet list; chain layer 1 (the paper's incremental
+        snapshot) is captured right after that packet is consumed, and
+        subsequent ``run_suffix`` calls replay only the remainder.
+        ``snapshot_after_packets`` generalizes it to an ascending list
+        of positions, one chain node each (a one-element list is the
+        scalar form).
 
         ``parent_key`` names a recording registered through
         :meth:`remember_trace`; any op prefix the input shares with it
         replays with the tracer elided.
         """
-        self._suffix = None
-        self._chain_nodes = []
-        self.machine.snapshots.discard_incremental()
+        self.discard_chain()
+        if not snapshot_after_packets and snapshot_after_packet is not None:
+            snapshot_after_packets = [snapshot_after_packet]
         snapshot_op_index = None
         later_ops: List[int] = []
         if snapshot_after_packets:
@@ -229,10 +228,6 @@ class NyxExecutor:
             if points:
                 snapshot_op_index = points[0]
                 later_ops = points[1:]
-        elif snapshot_after_packet is not None:
-            packets = input_.packet_indices()
-            if 0 <= snapshot_after_packet < len(packets):
-                snapshot_op_index = packets[snapshot_after_packet]
         parent_rec = None
         if parent_key is not None:
             parent_rec = self._recordings.get(parent_key)
@@ -246,7 +241,7 @@ class NyxExecutor:
                    depth: Optional[int] = None) -> ExecResult:
         """Execute only the ops after a chain node's snapshot point.
 
-        ``depth`` picks the chain node to resume from (1 = the
+        ``depth`` picks the chain node to resume from (1 = the paper's
         incremental snapshot; default: the deepest node).  The executor
         then upgrades to the *deepest* node at or above ``depth`` whose
         op prefix the input still matches — resuming closer to the
@@ -264,7 +259,7 @@ class NyxExecutor:
         if not nodes:
             raise RuntimeError("no incremental snapshot to fuzz from")
         if not self.degraded_root_only:
-            self._heal_incremental(nodes[-1])
+            self._heal_chain()
             nodes = self._chain_nodes
         if self.degraded_root_only or not nodes:
             # Bottom of the ladder: run the whole input from the root.
@@ -275,8 +270,7 @@ class NyxExecutor:
             depth = 1
         depth = self._deepest_matching(input_, depth)
         state = nodes[depth - 1]
-        snapshots = self.machine.snapshots
-        if snapshots.chain_depth > 1 and snapshots.base_depth != depth:
+        if self.machine.snapshots.base_depth != depth:
             # Hop to the requested node; the next end-of-run reset then
             # returns here for free (it restores the current base).
             try:
@@ -366,8 +360,6 @@ class NyxExecutor:
         self._recordings.clear()
         for node in self._chain_nodes:
             node.capture_rec = None
-        if self._suffix is not None:
-            self._suffix.capture_rec = None
         self.elision_invalidations += 1
 
     # ------------------------------------------------------------------
@@ -398,7 +390,6 @@ class NyxExecutor:
         self.degraded_root_only = bool(state["degraded_root_only"])
         self._rebuild_failures = int(state["rebuild_failures"])
         self.machine.snapshots.restore_state(state["snapshots"])
-        self._suffix = None
         self._chain_nodes = []
         self._recordings.clear()
         self._rec_in_progress = None
@@ -468,17 +459,20 @@ class NyxExecutor:
         self.prefix_elisions += 1
         self.prefix_elided_ops += elided
 
-    def _heal_incremental(self, state: _SuffixState) -> _SuffixState:
+    def _heal_chain(self) -> None:
         """Ensure a valid snapshot chain exists, rebuilding from the
         root as often as the rebuild budget allows.
 
-        ``state`` is the deepest chain node; the replay re-creates
-        every node's snapshot point (overlay corruption tears down the
-        whole chain, so rebuilds always start from nothing).
+        The replay re-creates every node's snapshot point (a corrupt
+        layer tears down the whole chain, so rebuilds always start from
+        nothing).  A replay that stops early hands the next attempt the
+        points it did capture, or only the deepest point when it
+        captured none.
         """
         snapshots = self.machine.snapshots
+        state = self._chain_nodes[-1]
         invalidated = False
-        while not snapshots.incremental_active:
+        while not snapshots.chain_depth:
             if not invalidated:
                 invalidated = True
                 self.invalidate_trace_recordings()
@@ -486,28 +480,20 @@ class NyxExecutor:
             if (self._rebuild_failures > self.max_snapshot_rebuilds
                     or state.base_input is None):
                 self.degraded_root_only = True
-                return state
+                return
             self.snapshot_rebuilds += 1
-            points = [node.resume_index - 1 for node in self._chain_nodes
-                      if node.resume_index > 0]
-            if not points and state.snapshot_op_index is not None:
-                points = [state.snapshot_op_index]
+            points = ([node.resume_index - 1 for node in self._chain_nodes]
+                      or [state.resume_index - 1])
             self._chain_nodes = []
             # Replay exactly the prefix that produced the chain; the
-            # trailing reset restores the fresh deepest snapshot
-            # (or corrupts it again, in which case we loop).  The
-            # replay's trace is discarded, so it runs untraced.
+            # trailing reset restores the fresh deepest node (or
+            # corrupts it again, in which case we loop).  The replay's
+            # trace is discarded, so it runs untraced.
             self._run(state.base_input, start=0,
-                      snapshot_op_index=points[0] if points else None,
+                      snapshot_op_index=points[0],
                       later_snapshot_ops=points[1:],
                       stop_index=state.resume_index, traced=False)
-            state = self._suffix or state
         self._rebuild_failures = 0
-        return state
-
-    @property
-    def suffix_resume_index(self) -> Optional[int]:
-        return self._suffix.resume_index if self._suffix else None
 
     # ------------------------------------------------------------------
     # core interpreter
@@ -595,18 +581,15 @@ class NyxExecutor:
             op = ops[index]
             if op.is_snapshot_marker():
                 snapshots = machine.snapshots
-                if (self.max_chain_depth > 1 and snapshots.incremental_active
-                        and self._chain_nodes
-                        and snapshots.base_depth == snapshots.chain_depth):
-                    # Chain-enabled marker: stack instead of replacing;
-                    # past the depth cap, fold the deepest layer first
-                    # so the chain stays bounded.
-                    if snapshots.chain_depth >= self.max_chain_depth:
-                        snapshots.commit_overlay()
-                        self._chain_nodes.pop(-2)
-                    self._push_chain_node(input_, index + 1, values)
-                else:
-                    self._take_incremental(input_, index + 1, values)
+                stack = (self.max_chain_depth > 1
+                         and len(self._chain_nodes) > 0
+                         and 0 < snapshots.base_depth == snapshots.chain_depth)
+                if stack and snapshots.chain_depth >= self.max_chain_depth:
+                    # Chain-enabled marker past the depth cap: fold the
+                    # deepest layer first so the chain stays bounded.
+                    snapshots.commit_overlay()
+                    self._chain_nodes.pop(-2)
+                self._capture_node(input_, index + 1, values, stack)
                 reached = index + 1
                 continue
             handler = spec_nodes.get(op.node)
@@ -633,12 +616,11 @@ class NyxExecutor:
                 result.timed_out = True
                 break
             if snapshot_op_index is not None and index == snapshot_op_index:
-                if took_first_point:
-                    # A later placement point: stack a chain overlay on
-                    # the snapshot below it.
-                    self._push_chain_node(input_, index + 1, values)
-                else:
-                    self._take_incremental(input_, index + 1, values)
+                # The first placement point starts a fresh chain; each
+                # later one stacks a layer on it.
+                self._capture_node(input_, index + 1, values,
+                                   took_first_point)
+                if not took_first_point:
                     took_first_point = True
                     if rec is not None:
                         rec.charge_index = index + 1
@@ -692,41 +674,25 @@ class NyxExecutor:
         machine.reset_for_next_test()
         return result
 
-    def _take_incremental(self, input_: FuzzInput, resume_index: int,
-                          values: int) -> None:
-        """Create the secondary snapshot at the current position
-        (replacing any existing chain)."""
+    def _capture_node(self, input_: FuzzInput, resume_index: int,
+                      values: int, stack: bool) -> None:
+        """Snapshot the current position as a chain node: a layer
+        stacked on the chain when ``stack`` is true, else a fresh
+        layer 1 replacing the whole chain."""
         self.kernel.flush_to_memory()
-        self.machine.create_incremental()
-        state = _SuffixState(
+        if stack:
+            self.machine.push_overlay()
+        else:
+            self.machine.create_incremental()
+            self._chain_nodes = []
+        self._chain_nodes.append(_SuffixState(
             resume_index=resume_index,
             conns=copy.deepcopy(self.interceptor._conns),
             sid_to_conn=dict(self.interceptor._sid_to_conn),
             values_produced=values,
             base_input=input_.copy(),
-            snapshot_op_index=resume_index - 1,
             capture_rec=self._rec_in_progress,
-        )
-        self._suffix = state
-        self._chain_nodes = [state]
-
-    def _push_chain_node(self, input_: FuzzInput, resume_index: int,
-                         values: int) -> None:
-        """Stack a chain overlay at the current position (a deeper
-        sibling of :meth:`_take_incremental`)."""
-        self.kernel.flush_to_memory()
-        self.machine.push_overlay()
-        state = _SuffixState(
-            resume_index=resume_index,
-            conns=copy.deepcopy(self.interceptor._conns),
-            sid_to_conn=dict(self.interceptor._sid_to_conn),
-            values_produced=values,
-            base_input=input_.copy(),
-            snapshot_op_index=resume_index - 1,
-            capture_rec=self._rec_in_progress,
-        )
-        self._suffix = state
-        self._chain_nodes.append(state)
+        ))
 
     @property
     def chain_node_count(self) -> int:
@@ -739,13 +705,16 @@ class NyxExecutor:
             return self._chain_nodes[depth - 1].resume_index
         return None
 
+    def discard_chain(self) -> None:
+        """Drop every chain node, executor and snapshot-manager side."""
+        self._chain_nodes = []
+        self.machine.snapshots.discard_chain()
+
     def finish_snapshot_cycle(self) -> None:  # nyx: hot
         """Discard the snapshot chain and return to the root
         ("as soon as Nyx-Net wants to schedule another input, the
         incremental snapshot is discarded", §3.4)."""
-        self._suffix = None
-        self._chain_nodes = []
-        self.machine.snapshots.discard_incremental()
+        self.discard_chain()
         self.kernel.flush_to_memory()
         self.machine.restore_root()
 

@@ -8,11 +8,13 @@ mutation engine, the executor and statistics:
    scheduled for fuzzing, we randomly decide whether to use
    incremental snapshots for this input", §3.4);
 3. run the entry once from the root, creating the incremental snapshot
-   at the chosen packet;
-4. run a batch of suffix mutations against the incremental snapshot
-   (tens to hundreds — reuse ≥50 pays off per §3.4);
+   (snapshot chain layer 1) at the chosen packet — and, with chains
+   enabled, a deeper layer after each further chosen packet;
+4. run a batch of suffix mutations against the chain (tens to hundreds
+   — reuse ≥50 pays off per §3.4), the policy picking the node each
+   one resumes from;
 5. feed coverage novelty back into the queue and the policy, then
-   discard the incremental snapshot and return to the root.
+   discard the chain and return to the root.
 """
 
 from __future__ import annotations
@@ -58,10 +60,10 @@ class FuzzerConfig:
     #: against the post-root-snapshot baseline) every N executions.
     #: ``None`` disables it.  See docs/robustness.md.
     sanitize_every: Optional[int] = None
-    #: Maximum snapshot chain depth (base + overlays).  1 keeps the
-    #: paper's single incremental snapshot (the classic byte-identical
-    #: path); >1 lets policies stack overlay snapshots along an input
-    #: and steer suffix runs between them (see docs/snapshots.md).
+    #: Maximum snapshot chain depth.  1 keeps the paper's single
+    #: incremental snapshot; >1 lets policies stack deeper layers along
+    #: an input and steer suffix runs between them (see
+    #: docs/snapshots.md).
     max_chain_depth: int = 1
 
 
@@ -310,21 +312,12 @@ class NyxNetFuzzer:
     # ------------------------------------------------------------------
 
     def _fuzz_entry(self, entry: QueueEntry) -> None:
-        if self.config.max_chain_depth > 1:
-            points = self.policy.choose_chain(entry, self.rng,
-                                              self.config.max_chain_depth)
-            if len(points) > 1:
-                self._fuzz_with_chain(entry, points)
-            elif points:
-                self._fuzz_with_incremental(entry, points[0])
-            else:
-                self._fuzz_from_root(entry)
-            return
-        snapshot_packet = self.policy.choose(entry, self.rng)
-        if snapshot_packet is None:
-            self._fuzz_from_root(entry)
+        points = self.policy.choose_chain(entry, self.rng,
+                                          self.executor.max_chain_depth)
+        if points:
+            self._fuzz_with_chain(entry, points)
         else:
-            self._fuzz_with_incremental(entry, snapshot_packet)
+            self._fuzz_from_root(entry)
 
     def _fuzz_from_root(self, entry: QueueEntry) -> None:
         found_new = False
@@ -343,52 +336,20 @@ class NyxNetFuzzer:
                 found_new = True
         self.policy.feedback(entry, found_new, self.config.iterations_root)
 
-    def _fuzz_with_incremental(self, entry: QueueEntry,
-                               snapshot_packet: int) -> None:
-        # One full run creates the incremental snapshot after the
-        # chosen packet (and is itself a normal execution).
-        base = entry.input
-        result = self.executor.run_full(base,
-                                        snapshot_after_packet=snapshot_packet,
-                                        parent_key=entry.entry_id)
-        self._process_result(base, result, count_as_new_input=False)
-        # Entries discovered by suffix runs carry no recording of their
-        # own; this capture run's (charge-clamped) recording fills in.
-        self.executor.remember_trace(entry.entry_id, result, replace=False)
-        resume = self.executor.suffix_resume_index
-        found_new = False
-        iterations = self.config.iterations_per_snapshot
-        if resume is None:
-            # Snapshot creation failed (e.g. crash before the point);
-            # fall back to root fuzzing for this schedule.
-            self.policy.feedback(entry, False, 0)
-            self.executor.finish_snapshot_cycle()
-            return
-        for _ in range(iterations):
-            if self._budget_exhausted():
-                break
-            child = self.mutator.mutate(
-                base, from_index=resume,
-                splice_donor=self.corpus.splice_donor(entry))
-            result = self.executor.run_suffix(child)
-            self.stats.suffix_execs += 1
-            if self._process_result(child, result):
-                found_new = True
-        self.policy.feedback(entry, found_new, iterations)
-        # Scheduling moves on: drop the secondary snapshot.
-        self.executor.finish_snapshot_cycle()
-
     def _fuzz_with_chain(self, entry: QueueEntry,
                          points: Sequence[int]) -> None:
-        """Multi-point variant of :meth:`_fuzz_with_incremental`: one
-        capture run stacks a chain node after each chosen packet, then
-        each suffix iteration asks the policy which node (arm) to
-        resume from and reports the arm's coverage yield back."""
+        """One capture run (itself a normal execution) stacks a chain
+        node after each chosen packet — a single point is the paper's
+        incremental snapshot — then each suffix iteration asks the
+        policy which node (arm) to resume from and reports the arm's
+        coverage yield back."""
         base = entry.input
         result = self.executor.run_full(base,
                                         snapshot_after_packets=list(points),
                                         parent_key=entry.entry_id)
         self._process_result(base, result, count_as_new_input=False)
+        # Entries discovered by suffix runs carry no recording of their
+        # own; this capture run's (charge-clamped) recording fills in.
         self.executor.remember_trace(entry.entry_id, result, replace=False)
         if self.executor.chain_node_count == 0:
             # Snapshot creation failed (e.g. crash before the first
@@ -402,7 +363,8 @@ class NyxNetFuzzer:
             if self._budget_exhausted():
                 break
             # The chain can shrink mid-cycle (self-healing after a
-            # corrupted layer), so re-read the arm count every pull.
+            # corrupted layer, or emptying when a rebuild fails), so
+            # re-read the arm count every pull.
             depth_count = self.executor.chain_node_count
             if depth_count == 0:
                 break
@@ -421,6 +383,7 @@ class NyxNetFuzzer:
             self.policy.arm_feedback(entry, arm, hit,
                                      sim_cost=result.exec_time)
         self.policy.feedback(entry, found_new, iterations)
+        # Scheduling moves on: drop the chain.
         self.executor.finish_snapshot_cycle()
 
     def _budget_exhausted(self) -> bool:

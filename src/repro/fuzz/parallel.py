@@ -369,11 +369,10 @@ class ParallelCampaign:
             worker.done = True
             worker.retired = True
             return
-        # Self-heal the VM: drop any incremental snapshot and rewind to
-        # the (immutable) root, rebuilding guest state from memory.
+        # Self-heal the VM: drop the snapshot chain and rewind to the
+        # (immutable) root, rebuilding guest state from memory.
         try:
-            worker.machine.snapshots.discard_incremental()
-            worker.executor._suffix = None
+            worker.executor.discard_chain()
             worker.machine.restore_root()
         except Exception:
             # Even the root restore failed: this instance is beyond

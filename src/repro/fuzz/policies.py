@@ -174,8 +174,8 @@ class BanditPolicy(SnapshotPolicy):
     checkpoints.
 
     With ``max_depth`` clamped to 1 the placement degenerates to the
-    single deepest point and the fuzzer's classic single-snapshot path
-    runs unchanged.
+    single deepest point: a one-layer chain, the paper's incremental
+    snapshot.
     """
 
     name = "bandit"

@@ -4,8 +4,9 @@ This package stands in for the paper's KVM/QEMU stack: paged guest
 physical memory with hardware-style dirty logging
 (:mod:`repro.vm.memory`), serializable emulated devices
 (:mod:`repro.vm.devices`), an emulated block device with two-level
-snapshot overlays (:mod:`repro.vm.disk`), root and incremental
-whole-VM snapshots (:mod:`repro.vm.snapshot`), and the machine object
+snapshot overlays (:mod:`repro.vm.disk`), the root whole-VM snapshot
+and the snapshot chain above it, whose layer 1 is the paper's
+incremental snapshot (:mod:`repro.vm.snapshot`), and the machine object
 that ties them to the guest OS (:mod:`repro.vm.machine`).
 """
 

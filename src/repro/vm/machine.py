@@ -28,7 +28,7 @@ DEFAULT_DISK_SECTORS = 8192
 
 
 class Machine:
-    """A simulated whole VM with two-level snapshot support."""
+    """A simulated whole VM with root and chain snapshot support."""
 
     def __init__(self, memory_bytes: int = DEFAULT_MEMORY_BYTES,
                  disk_sectors: int = DEFAULT_DISK_SECTORS,
@@ -51,8 +51,8 @@ class Machine:
         # hypervisor-side diagnostics, not guest state.
         self._hypercall_log: List[HypercallEvent] = []  # nyx: allow[reset]
         self._hypercall_handler: Optional[Callable[[HypercallEvent], None]] = None  # nyx: allow[reset]
-        #: Incremental restores that failed validation and fell back to
-        #: the root snapshot (see :meth:`reset_for_next_test`).
+        #: Chain restores that failed validation and fell back to the
+        #: root snapshot (see :meth:`reset_for_next_test`).
         self.snapshot_corruptions = 0
 
     # -- guest <-> host plumbing ------------------------------------------------
@@ -97,14 +97,13 @@ class Machine:
         return n
 
     def create_incremental(self) -> int:
-        """Take the secondary snapshot at the current execution point."""
+        """Replace the snapshot chain with a new layer 1 (the paper's
+        incremental snapshot) at the current execution point."""
         return self.snapshots.create_incremental()
 
     def restore_incremental(self) -> int:
-        """Reset to the secondary snapshot; returns pages reset."""
-        n = self.snapshots.restore_incremental()
-        self._notify_restore()
-        return n
+        """Reset to chain layer 1; returns pages reset."""
+        return self.restore_to_depth(1)
 
     def push_overlay(self) -> int:
         """Stack a new chain layer on the current state; returns pages
@@ -118,23 +117,20 @@ class Machine:
         return n
 
     def reset_for_next_test(self) -> int:
-        """Reset to whichever snapshot is active (deepest chain node,
-        else the incremental snapshot, else root).
+        """Reset to the chain node the live state descends from, or to
+        the root when no chain is live.
 
-        Self-healing: a snapshot layer that fails checksum validation
-        is discarded (overlay chains are torn down wholesale) and the
-        VM falls back to the (immutable, trustworthy) root snapshot
-        instead of propagating corrupt state into the next execution.
-        Callers holding suffix state notice via
-        :attr:`SnapshotManager.incremental_active` going False and
-        rebuild from the root.
+        Self-healing: a chain layer that fails checksum validation
+        tears the whole chain down and the VM falls back to the
+        (immutable, trustworthy) root snapshot instead of propagating
+        corrupt state into the next execution.  Callers holding suffix
+        state notice via :attr:`SnapshotManager.chain_depth` dropping
+        to 0 and rebuild from the root.
         """
         snaps = self.snapshots
-        if snaps.incremental_active:
+        if snaps.chain_depth:
             try:
-                if snaps.chain_depth > 1:
-                    return self.restore_to_depth(snaps.base_depth)
-                return self.restore_incremental()
+                return self.restore_to_depth(snaps.base_depth)
             except SnapshotCorruption:
                 self.snapshot_corruptions += 1
         return self.restore_root()

@@ -1,39 +1,36 @@
-"""Root and incremental whole-VM snapshots (the paper's §4.2).
+"""Root snapshots and the snapshot chain above them (the paper's §4.2).
 
 The root snapshot is a full copy of guest memory, device state and the
 disk overlay.  Restoring it walks the Nyx dirty-page *stack* (never the
 whole bitmap) and resets exactly the pages that diverged.
 
-Incremental snapshots add a second level:
+Every snapshot above the root is a layer of one QCOW2-style backing
+chain: root → layer₁ → layer₂ → … (docs/snapshots.md).  A
+:class:`ChainLayer` holds a dense page **mirror** that "looks like a
+complete root snapshot without incurring anywhere near the full memory
+cost": entries for pages the layer never captured are copy-on-write
+references into its parent's view, the rest are real copies with their
+own CRC32s.
 
-* A **mirror** of the physical memory is kept as copy-on-write
-  references into the root snapshot's page array, so the incremental
-  snapshot "looks like a complete root snapshot without incurring
-  anywhere near the full memory cost".
-* Creating an incremental snapshot overwrites the mirror entries for
-  every page dirtied since the root snapshot with a real copy of the
-  current content; stale copies from the previous incremental snapshot
-  are reverted to root references first.
-* Because real copies accumulate, the mirror is **re-mirrored** to a
-  clean CoW view of the root "every 2,000 snapshots created".
-* Only one incremental snapshot exists at any time; scheduling a new
-  input discards it (§3.4).
-
-**Overlay chains** generalize the second level to a QCOW2-style
-backing chain: base → overlay₁ → overlay₂ → … (docs/snapshots.md).
-The paper's single incremental snapshot is chain depth 1 and keeps its
-exact code path (same charges, byte for byte); deeper layers are
-:class:`ChainOverlay` records pushed on top of it:
-
-* each overlay holds a dense CoW mirror of its parent's view plus real
-  copies of the pages written since the parent's capture, with its own
-  incremental CRC table and private-page accounting;
-* ``restore_to_depth(k)`` resets the VM to any chain node, resolving
-  page identity newest-to-oldest through the per-layer ``touched``
-  sets and reusing the dirty-write-avoidance batch reset;
-* ``commit_overlay`` folds the deepest overlay into its parent (the
-  QCOW2 *commit*, bounding chain length); ``discard_deepest`` drops
-  the deepest layer for free (the QCOW2 *discard*).
+* **Layer 1 is the paper's incremental snapshot.**  Its mirror is a
+  CoW view of the root's page array that outlives the layer: each new
+  layer 1 overwrites the entries of every page dirtied since the root
+  snapshot with a real copy of the current content, after reverting
+  the stale copies of the previous layer 1 to root references (a
+  per-page charge only layer 1 pays).  Because real copies accumulate,
+  the mirror is **re-mirrored** to a clean CoW view of the root "every
+  2,000 snapshots created".  Its validation may be amortized
+  (``verify_every``).
+* **Deeper layers** are fresh per push: a CoW view of the parent's
+  mirror plus real copies of the pages written since the parent's
+  capture.
+* The operations are *new* (``create_incremental`` replaces the chain
+  with a fresh layer 1, ``push_overlay`` stacks a layer on it),
+  *restore* (``restore_to_depth(k)`` resets to any live node in one
+  dirty-write-avoiding batch), *commit* (``commit_overlay`` folds the
+  deepest layer into its parent) and *discard* (``discard_deepest``
+  drops one layer, ``discard_chain`` all of them when scheduling a new
+  input, §3.4).
 
 Cost accounting: every operation charges the machine clock through the
 cost model, so Table 3 and Figure 6 reproduce the structural costs of
@@ -66,12 +63,12 @@ class SnapshotError(Exception):
 
 
 class SnapshotCorruption(SnapshotError):
-    """An incremental snapshot failed checksum validation on restore.
+    """A chain layer failed checksum validation on restore.
 
-    The manager has already discarded the corrupt snapshot and healed
-    the damaged mirror entries back to CoW root references; the caller
-    recovers by restoring the root snapshot and (optionally) rebuilding
-    the incremental snapshot from it.
+    The manager has already torn the chain down and healed the damaged
+    mirror entries back to CoW root references; the caller recovers by
+    restoring the root snapshot and (optionally) rebuilding the chain
+    from it.
     """
 
 
@@ -117,7 +114,13 @@ class RootSnapshot:
 
 
 class SnapshotStats:
-    """Counters describing snapshot activity for a machine."""
+    """Counters describing snapshot activity for a machine.
+
+    Layer 1 keeps the paper's names: its captures count as
+    ``incremental_creates`` and a restore on a one-layer chain as an
+    ``incremental_restores``; deeper layers count as overlay pushes and
+    chain restores.
+    """
 
     def __init__(self) -> None:
         self.root_restores = 0
@@ -127,7 +130,7 @@ class SnapshotStats:
         self.pages_reset = 0
         self.pages_captured = 0
         self.corruption_detected = 0
-        # Overlay-chain activity (0 for single-incremental campaigns).
+        # Activity above layer 1 (0 for single-layer campaigns).
         self.overlay_pushes = 0
         self.overlay_commits = 0
         self.chain_restores = 0
@@ -137,54 +140,58 @@ class SnapshotStats:
         return dict(self.__dict__)
 
 
-class ChainOverlay:
-    """One layer of an overlay chain (depth >= 2).
+class ChainLayer:
+    """One snapshot layer above the root.
 
     A dense page mirror that *looks like* a complete snapshot of the VM
-    at push time without the full memory cost: entries for pages
-    untouched since the parent's capture are CoW references into the
-    parent's mirror; ``touched`` pages are real copies with their own
-    CRC32s.  Frozen after push — restores read it, never write it.
+    at capture time: entries outside ``touched`` are CoW references into
+    the parent's view (the root's page array under layer 1); ``touched``
+    pages are real copies, each with a CRC32 in ``checksums``.  Captures
+    and commits write a layer; restores only read it, except to heal
+    entries that fail validation.
     """
 
     __slots__ = ("mirror", "touched", "checksums", "verified_ids",
                  "device_state", "disk_overlay", "disk_touched")
 
-    def __init__(self, mirror: List[bytes], touched: set,
-                 checksums: Dict[int, int], verified_ids: Dict[int, int],
-                 device_state: Dict[str, Tuple],
-                 disk_overlay: Dict[int, bytes], disk_touched: set) -> None:
+    def __init__(self, mirror: List[bytes]) -> None:
         self.mirror = mirror
-        self.touched = touched
-        self.checksums = checksums
-        self.verified_ids = verified_ids
-        self.device_state = device_state
-        self.disk_overlay = disk_overlay
+        self.touched: set = set()
+        self.checksums: Dict[int, int] = {}
+        #: ``id()`` of each real copy when its CRC last validated.
+        #: Mirror pages are immutable ``bytes`` — any corruption vector
+        #: in this simulation replaces the object — so an unchanged
+        #: identity lets verification skip the CRC recompute while
+        #: still charging the modelled validation cost.  Process-local
+        #: ``id()``s: must never cross a checkpoint.
+        self.verified_ids: Dict[int, int] = {}
+        self.device_state: Optional[Dict[str, Tuple]] = None
+        self.disk_overlay: Optional[Dict[int, bytes]] = None
         #: Sectors written between the parent's capture and this one —
         #: the disk-level ``touched`` set cross-depth restores resolve.
-        self.disk_touched = disk_touched
-
-    def private_pages(self) -> int:
-        return len(self.touched)
+        self.disk_touched: set = set()
 
 
 class SnapshotManager:  # nyx: allow[reset]
-    """Implements Nyx-Net's two-level snapshot scheme over a machine.
+    """Implements Nyx-Net's root snapshot and the chain above it.
 
     Reset-lint suppression: the manager *is* the reset mechanism; its
     snapshot handles, divergence bookkeeping and CRC tables are
     definitionally cross-exec state.
 
     ``verify_every`` amortizes the pre-restore checksum validation of
-    the incremental snapshot: 1 (the default) validates on every
-    restore, exactly the historical behaviour; N > 1 validates on every
-    N-th restore.  A full validation is always forced right after a
-    corruption was detected and on the first restore of a rebuilt
-    snapshot, so an injected fault is never outrun by the amortization.
+    layer 1: 1 (the default) validates on every restore, exactly the
+    historical behaviour; N > 1 validates on every N-th restore.  A
+    full validation is always forced right after a corruption was
+    detected and on the first restore of a rebuilt layer 1, so an
+    injected fault is never outrun by the amortization.  Deeper layers
+    always validate.
     """
 
     #: Layout version of :meth:`snapshot_state` (durability lint NYX062).
-    STATE_FORMAT = 1
+    #: 2: one chain — ``chain_depth`` replaced ``chain_overlays`` and
+    #: ``base_depth``.
+    STATE_FORMAT = 2
 
     def __init__(self, memory: GuestMemory, devices: DeviceBoard,
                  disk: EmulatedDisk, clock: SimClock, costs: CostModel,
@@ -206,9 +213,8 @@ class SnapshotManager:  # nyx: allow[reset]
         #: Pages that may differ from the root snapshot.  Rebuilt from
         #: scratch each cycle; checkpoints happen at root boundaries.
         self._diverged: set = set()  # nyx: state[ephemeral]
-        #: Pages (re)written since the deepest snapshot capture (or,
-        #: after a chain restore, since the restored-to node) — the
-        #: subset of ``_diverged`` whose deepest-view entry is out of
+        #: Pages (re)written since the base's capture (or restore) —
+        #: the subset of ``_diverged`` whose base-view entry is out of
         #: date.  Fed by ``_absorb_dirty``; drained at boundaries.
         self._since_create: set = set()  # nyx: state[ephemeral]
         #: Pages whose live memory object differs (by identity) from
@@ -218,40 +224,24 @@ class SnapshotManager:  # nyx: allow[reset]
         #: Disk sectors that may differ from the root overlay.
         self._disk_diverged: set = set()  # nyx: state[ephemeral]
 
-        # Incremental snapshot state.  Checkpoints happen at step
-        # boundaries (root restored, no incremental active): the page
-        # mirror and fast device/disk captures are rebuilt by the next
-        # ``create_incremental`` on the resumed machine; only the
-        # sim-charge cursors below travel (see ``snapshot_state``).
-        self._mirror: Optional[List[bytes]] = None  # nyx: state[ephemeral]
-        self._mirror_touched: set = set()
-        self._inc_device_state: Optional[Dict[str, Tuple]] = None  # nyx: state[ephemeral]
-        self._inc_disk_overlay: Optional[Dict[int, bytes]] = None  # nyx: state[ephemeral]
-        self._inc_active = False  # nyx: state[ephemeral]
+        # The chain.  Chains live inside one snapshot cycle — every
+        # cycle ends back at the root — so checkpoints carry only the
+        # sim-charge cursors of layer 1 (see ``snapshot_state``); page
+        # mirrors and device/disk captures are rebuilt by the next
+        # create on the resumed machine.
+        #: Live layers, shallow to deep; element ``i`` is depth ``i + 1``.
+        self._layers: List[ChainLayer] = []  # nyx: state[ephemeral]
+        #: Layer 1's persistent mirror: it outlives discards (the next
+        #: create reverts its stale copies instead of starting over) and
+        #: is replaced on root capture and on every re-mirror.  Its
+        #: ``touched`` set travels as ``mirror_touched``.
+        self._layer1 = ChainLayer([])  # nyx: state[ephemeral]
         self._creates_since_remirror = 0
-        #: CRC32 of every real-copy mirror page at create time, checked
-        #: before restores (self-healing snapshots).  Maintained
-        #: incrementally: only pages copied by a create are re-CRC'd.
-        #: Host-side cache, rebuilt by the next create (never travels).
-        self._inc_checksums: Dict[int, int] = {}  # nyx: state[ephemeral]
-        #: ``id()`` of each real-copy page at the time its CRC last
-        #: validated.  Mirror pages are immutable ``bytes`` — any
-        #: corruption vector in this simulation replaces the object —
-        #: so an unchanged identity lets verification skip the CRC
-        #: recompute while still charging the modelled validation cost.
-        #: Process-local ``id()``s: must never cross a checkpoint.
-        self._verified_ids: Dict[int, int] = {}  # nyx: state[ephemeral]
-        #: Restores until the next amortized verification is due.
+        #: Restores until the next amortized layer-1 validation is due.
         self._verify_countdown = 0
-
-        # Overlay-chain state (depth >= 2).  Chains live inside one
-        # snapshot cycle — every cycle ends back at the root — so none
-        # of this survives to a checkpoint boundary.
-        #: Layers above the depth-1 incremental snapshot; element ``i``
-        #: is chain depth ``i + 2``.
-        self._overlays: List[ChainOverlay] = []  # nyx: state[ephemeral]
         #: Chain depth the live VM state currently descends from
-        #: (0 = root).  Restores and captures move it.
+        #: (0 = root, exactly when the chain is empty).  Restores and
+        #: captures move it.
         self._base_depth = 0  # nyx: state[ephemeral]
         #: Sectors written since the current base's capture — the disk
         #: counterpart of ``_since_create`` for cross-depth restores.
@@ -274,15 +264,9 @@ class SnapshotManager:  # nyx: allow[reset]
         return self._root is not None
 
     @property
-    def incremental_active(self) -> bool:
-        return self._inc_active
-
-    @property
     def chain_depth(self) -> int:
-        """Number of snapshot layers above the root (0 = none active)."""
-        if not self._inc_active:
-            return 0
-        return 1 + len(self._overlays)
+        """Number of live snapshot layers above the root (0 = none)."""
+        return len(self._layers)
 
     @property
     def base_depth(self) -> int:
@@ -312,23 +296,9 @@ class SnapshotManager:  # nyx: allow[reset]
         self._clock.charge(
             self._costs.snapshot_fixed
             + self._memory.num_pages * self._costs.root_page_copy)
-        self._root = root
         self._memory.clear_dirty_log()
         self._disk.take_dirty()
-        self._diverged = set()
-        self._since_create = set()
-        self._private = set()
-        self._disk_diverged = set()
-        self._mirror = list(pages)
-        self._mirror_touched = set()
-        self._inc_active = False
-        self._creates_since_remirror = 0
-        self._inc_checksums = {}
-        self._verified_ids = {}
-        self._verify_countdown = 0
-        self._overlays = []
-        self._base_depth = 0
-        self._disk_since_base = set()
+        self._start_at(root)
         return root
 
     def adopt_root(self, root: RootSnapshot) -> None:
@@ -340,7 +310,6 @@ class SnapshotManager:  # nyx: allow[reset]
         """
         if root.num_pages != self._memory.num_pages:
             raise SnapshotError("shared root has mismatched memory geometry")
-        self._root = root
         self.last_reset_pages = None  # every page changes: no fast path
         # Load the shared image into this machine (CoW references).
         for idx, page in enumerate(root.pages):
@@ -348,18 +317,20 @@ class SnapshotManager:  # nyx: allow[reset]
         self._devices.restore_fast(root.device_state)
         self._disk.restore_overlay(root.disk_overlay, self._disk.take_dirty())
         self._memory.clear_dirty_log()
+        self._start_at(root)
+
+    def _start_at(self, root: RootSnapshot) -> None:
+        """Make ``root`` the live state's root, with no divergence, no
+        chain and a fresh layer-1 mirror."""
+        self._root = root
         self._diverged = set()
         self._since_create = set()
         self._private = set()
         self._disk_diverged = set()
-        self._mirror = list(root.pages)
-        self._mirror_touched = set()
-        self._inc_active = False
+        self._layers = []
+        self._layer1 = ChainLayer(list(root.pages))
         self._creates_since_remirror = 0
-        self._inc_checksums = {}
-        self._verified_ids = {}
         self._verify_countdown = 0
-        self._overlays = []
         self._base_depth = 0
         self._disk_since_base = set()
 
@@ -390,279 +361,168 @@ class SnapshotManager:  # nyx: allow[reset]
             + nsect * self._costs.sector_copy)
         self.stats.root_restores += 1
         self.stats.pages_reset += n
-        # Discarding any incremental snapshot (and its overlay chain)
-        # is free: the mirror is lazily re-populated on the next create
-        # and overlays die with their cycle.
-        self._inc_active = False
-        if self._overlays:
-            self._overlays = []
+        # The chain dies with its cycle (free: layer 1's mirror is
+        # recaptured lazily by the next create).
+        if self._layers:
+            self._layers = []
         self._base_depth = 0
         self._disk_since_base = set()
         return n
 
-    # -- incremental snapshot --------------------------------------------------
+    # -- the chain: new, restore, commit, discard ----------------------------
 
     def create_incremental(self) -> int:
-        """Snapshot the *current* state as the secondary snapshot.
+        """Replace the whole chain with a new layer 1 at the *current*
+        state (the paper's incremental snapshot).
 
         Returns the number of pages captured.  Cost: per page diverged
-        from root (plus reverting stale mirror entries), a fixed
-        hypercall cost, and a device state copy.  Host-side, only the
-        pages whose content can actually differ from their mirror entry
-        — those written since the previous create, plus those the
-        mirror never captured — are copied and re-CRC'd.
+        from root plus each stale layer-1 copy reverted, a fixed
+        hypercall cost, and a device state copy.
         """
-        root = self.root
-        self._absorb_dirty()
-        if self._overlays:
-            # Replacing the snapshot while a chain is live: every page a
-            # chain layer captured privately may leave its depth-1
-            # mirror entry stale, so fold the layers' touched sets into
-            # the must-recopy set before rebuilding.
-            for overlay in self._overlays:
-                self._since_create |= overlay.touched
-            self._overlays = []
-
-        remirrored = False
-        if self._creates_since_remirror >= REMIRROR_PERIOD:
-            # Re-mirror: throw away accumulated real copies and start
-            # from a clean CoW view of the root image.
-            self._mirror = list(root.pages)
-            self._mirror_touched = set()
-            self._creates_since_remirror = 0
-            self.stats.remirrors += 1
-            self._clock.charge(self._costs.snapshot_fixed)
-            remirrored = True
-
-        mirror = self._mirror
-        assert mirror is not None
-        memory = self._memory
-        diverged = self._diverged
-        touched = self._mirror_touched
-        checksums = self._inc_checksums
-        # Revert mirror entries left over from the previous incremental
-        # snapshot that are no longer diverged.
-        stale = touched - diverged
-        if stale:
-            root_pages = root.pages
-            for idx in stale:
-                mirror[idx] = root_pages[idx]
-                checksums.pop(idx, None)
-                self._verified_ids.pop(idx, None)
-        # Copy into the mirror only the pages whose mirror entry can be
-        # out of date; untouched-since-last-create entries already hold
-        # the right content and keep their CRC.
-        if remirrored or not touched:
-            to_copy = diverged
-        else:
-            to_copy = (diverged & self._since_create) | (diverged - touched)
-        crc32 = zlib.crc32
-        for idx in to_copy:
-            page = memory.page(idx)
-            mirror[idx] = page
-            checksums[idx] = crc32(page)
-            self._verified_ids[idx] = id(page)
-        self._mirror_touched = set(diverged)
-        self._since_create = set()
-
-        self._inc_device_state = self._devices.capture_fast()
-        self._inc_disk_overlay = self._disk.capture_overlay()
-        self._inc_active = True
-        self._overlays = []
-        self._base_depth = 1
-        self._disk_since_base = set()
-        self._creates_since_remirror += 1
-        # A freshly (re)built snapshot always gets a full validation on
-        # its first restore, even under an amortized verify_every.
-        self._verify_countdown = 0
-
-        n = len(diverged)
-        self._clock.charge(
-            self._costs.snapshot_fixed
-            + self._costs.device_reset_fast
-            + (n + len(stale)) * self._costs.page_copy)
-        self.stats.incremental_creates += 1
-        self.stats.pages_captured += n
-        return n
-
-    def restore_incremental(self) -> int:
-        """Reset the VM to the incremental snapshot; returns pages reset.
-
-        Only pages dirtied *since the incremental snapshot* are touched:
-        the mirror looks like a full snapshot, so no per-page decision
-        between root and incremental content is needed (§4.2).
-        """
-        if not self._inc_active:
-            raise SnapshotError("no incremental snapshot is active")
-        if self._overlays:
-            raise SnapshotError("overlay chain active; restore through "
-                                "restore_to_depth")
-        if self.injector is not None:
-            self.injector.on_incremental_restore(self)
-        self._verify_incremental()
-        mirror = self._mirror
-        assert mirror is not None
-        dirty = self._memory.take_dirty()
-        since = self._since_create
-        if since:
-            # Writes previously absorbed into the diverged set (e.g. a
-            # mid-cycle footprint query drained the dirty log) still
-            # differ from the mirror and must be reset too.
-            since.update(dirty)
-            dirty = since
-        self._memory.restore_pages(dirty, mirror)
-        self.last_reset_pages = set(dirty)
-        diverged = self._diverged
-        private = self._private
-        touched = self._mirror_touched
-        for idx in dirty:
-            diverged.add(idx)
-            # A mirror real copy is a private page; a CoW root
-            # reference restores the page to shared-root identity.
-            if idx in touched:
-                private.add(idx)
-            else:
-                private.discard(idx)
-        self._since_create = set()
-        assert self._inc_device_state is not None
-        self._devices.restore_fast(self._inc_device_state)
-        dirty_sectors = set(self._disk.take_dirty())
-        # Same absorbed-writes rule as the page path above: sectors
-        # drained into the since-base set mid-cycle (or parked there by
-        # a commit the live state did not descend from) still differ
-        # from the capture and must be reset too.
-        dirty_sectors |= self._disk_since_base
-        assert self._inc_disk_overlay is not None
-        self._disk.restore_overlay(self._inc_disk_overlay, dirty_sectors)
-        self._disk_diverged.update(dirty_sectors)
-        n = len(dirty)
-        self._clock.charge(
-            self._costs.snapshot_fixed
-            + self._costs.device_reset_fast
-            + n * self._costs.page_copy
-            + len(dirty_sectors) * self._costs.sector_copy)
-        self.stats.incremental_restores += 1
-        self.stats.pages_reset += n
-        self._base_depth = 1
-        self._disk_since_base = set()
-        return n
-
-    def discard_incremental(self) -> None:
-        """Drop the secondary snapshot and any overlay chain above it
-        (scheduling a new input, §3.4)."""
-        self._inc_active = False
-        if self._overlays:
-            self._overlays = []
-        self._base_depth = 0
-        self._disk_since_base = set()
-
-    # -- overlay chains (QCOW2-style backing chain) ---------------------------
+        self._truncate(0)
+        return self._capture()
 
     def push_overlay(self) -> int:
-        """Snapshot the *current* state as a new deepest chain layer.
+        """Stack a new deepest layer on the live chain at the *current*
+        state; returns the number of pages captured.
 
-        Returns the number of pages captured (real copies).  The new
-        overlay's mirror is a CoW view of its parent's mirror with the
-        pages written since the parent's capture copied in — so it
-        looks like a complete snapshot at a per-delta cost, exactly
-        like the depth-1 mirror looks like a root snapshot.  Charged
-        like an incremental create without the stale-revert term (a
-        fresh overlay has no stale entries to revert).
+        Charged like a layer-1 create without the stale-revert term (a
+        fresh layer has no stale entries to revert).
         """
-        if not self._inc_active:
-            raise SnapshotError("push_overlay needs an active incremental "
-                                "snapshot below it")
-        if self._base_depth != self.chain_depth:
+        if not self._layers:
+            raise SnapshotError("push_overlay needs a live layer below it "
+                                "(create_incremental starts the chain)")
+        if self._base_depth != len(self._layers):
             raise SnapshotError(
                 "live state descends from depth %d, not the deepest layer "
                 "%d; restore there before pushing"
-                % (self._base_depth, self.chain_depth))
+                % (self._base_depth, len(self._layers)))
+        return self._capture()
+
+    def _capture(self) -> int:
+        """Capture the live state as the new deepest layer.
+
+        A deeper layer starts from a CoW view of its parent's mirror and
+        copies the pages written since the parent's capture.  Layer 1
+        reuses its persistent mirror: its real copies are the pages
+        diverged from the root, stale copies of the previous layer 1
+        revert to root references first (charged per page), and only
+        entries that can be out of date are recopied and re-CRC'd.
+        """
         self._absorb_dirty()
-        parent_mirror = (self._overlays[-1].mirror if self._overlays
-                         else self._mirror)
-        assert parent_mirror is not None
-        mirror = list(parent_mirror)
-        delta = self._since_create
-        checksums: Dict[int, int] = {}
-        verified: Dict[int, int] = {}
-        pages = self._memory.sealed_pages(delta)
+        layers = self._layers
+        depth = len(layers) + 1
+        since = self._since_create
+        stale = 0
+        if layers:
+            layer = ChainLayer(list(layers[-1].mirror))
+            touched = to_copy = since
+        else:
+            root_pages = self.root.pages
+            if self._creates_since_remirror >= REMIRROR_PERIOD:
+                # Re-mirror: throw away accumulated real copies (and
+                # their CRCs) and start from a clean CoW view of the
+                # root image.
+                self._layer1 = ChainLayer(list(root_pages))
+                self._creates_since_remirror = 0
+                self.stats.remirrors += 1
+                self._clock.charge(self._costs.snapshot_fixed)
+            layer = self._layer1
+            touched = self._diverged
+            previous = layer.touched
+            # Revert copies left over from the previous layer 1 whose
+            # pages are no longer diverged.
+            for idx in previous - touched:
+                layer.mirror[idx] = root_pages[idx]
+                layer.checksums.pop(idx, None)
+                layer.verified_ids.pop(idx, None)
+                stale += 1
+            # Entries untouched since the previous capture already hold
+            # the right content and keep their CRC.
+            to_copy = ((touched & since) | (touched - previous)
+                       if previous else touched)
+            self._creates_since_remirror += 1
+            # A freshly (re)built layer 1 always gets a full validation
+            # on its first restore, even under an amortized verify_every.
+            self._verify_countdown = 0
+        mirror = layer.mirror
+        checksums = layer.checksums
+        verified = layer.verified_ids
         crc32 = zlib.crc32
-        for idx, page in pages.items():
+        for idx, page in self._memory.sealed_pages(to_copy).items():
             mirror[idx] = page
             checksums[idx] = crc32(page)
             verified[idx] = id(page)
-        overlay = ChainOverlay(
-            mirror=mirror,
-            touched=set(delta),
-            checksums=checksums,
-            verified_ids=verified,
-            device_state=self._devices.capture_fast(),
-            disk_overlay=self._disk.capture_overlay(),
-            disk_touched=set(self._disk_since_base),
-        )
-        self._overlays.append(overlay)
+        layer.touched = set(touched)
+        layer.device_state = self._devices.capture_fast()
+        layer.disk_overlay = self._disk.capture_overlay()
+        layer.disk_touched = set(self._disk_since_base)
+        layers.append(layer)
         self._since_create = set()
         self._disk_since_base = set()
-        self._base_depth = self.chain_depth
-        n = len(delta)
+        self._base_depth = depth
+        n = len(touched)
         self._clock.charge(
             self._costs.snapshot_fixed
             + self._costs.device_reset_fast
-            + n * self._costs.page_copy)
-        self.stats.overlay_pushes += 1
+            + (n + stale) * self._costs.page_copy)
         self.stats.pages_captured += n
-        if self.chain_depth > self.stats.deepest_chain:
-            self.stats.deepest_chain = self.chain_depth
+        if depth == 1:
+            self.stats.incremental_creates += 1
+        else:
+            self.stats.overlay_pushes += 1
+            if depth > self.stats.deepest_chain:
+                self.stats.deepest_chain = depth
         return n
 
     def restore_to_depth(self, depth: int) -> int:  # nyx: hot
-        """Reset the VM to chain node ``depth`` (1 = the incremental
-        snapshot); returns pages reset.
+        """Reset the VM to chain node ``depth`` (1 = the paper's
+        incremental snapshot); returns pages reset.
 
         Page identity resolves newest-to-oldest: the reset set is the
         pages written since the current base plus the symmetric
         difference between the base's view and the target's view (the
         union of the ``touched`` sets of every layer strictly between
         them), each restored from the target's dense mirror in one
-        dirty-write-avoiding batch.  Deeper layers stay alive, so the
+        dirty-write-avoiding batch.  On a one-layer chain that is the
+        paper's rule: only pages dirtied since the incremental snapshot
+        are reset, straight from the mirror, with no per-page
+        root-vs-incremental decision.  Deeper layers stay alive, so the
         placement bandit can hop between nodes restore-by-restore.
         """
-        top = self.chain_depth
+        layers = self._layers
+        top = len(layers)
         if depth < 1 or depth > top:
             raise SnapshotError("no chain node at depth %d (chain depth %d)"
                                 % (depth, top))
-        if depth == 1 and top == 1:
-            return self.restore_incremental()
         if self.injector is not None:
             self.injector.on_incremental_restore(self)
-        self._verify_incremental()
-        for overlay in self._overlays[:depth - 1]:
-            self._verify_overlay(overlay)
-        dirty = self._memory.take_dirty()
-        since = self._since_create
-        since.update(dirty)
-        reset = since
+        self._verify(1)
+        for d in range(2, depth + 1):
+            self._verify(d)
         base = self._base_depth
-        lo = min(base, depth)
-        hi = max(base, depth)
-        overlays = self._overlays
-        for d in range(lo + 1, hi + 1):
-            reset |= overlays[d - 2].touched
-        if depth == 1:
-            view = self._mirror
-            device_state = self._inc_device_state
-            disk_overlay = self._inc_disk_overlay
-        else:
-            target = overlays[depth - 2]
-            view = target.mirror
-            device_state = target.device_state
-            disk_overlay = target.disk_overlay
-        assert view is not None
+        # Layers strictly between base and target (none for the usual
+        # end-of-run reset back to the node the run resumed from).
+        between = (layers[min(base, depth):max(base, depth)]
+                   if base != depth else ())
+        reset = self._memory.take_dirty()
+        since = self._since_create
+        if since or between:
+            # Writes absorbed before this restore (e.g. a mid-cycle
+            # footprint query drained the dirty log, or a commit or
+            # discard parked pages there) and the pages the layers in
+            # between hold privately differ from the target's view too.
+            since.update(reset)
+            for layer in between:
+                since |= layer.touched
+            reset = since
+        target = layers[depth - 1]
+        view = target.mirror
         self._memory.restore_pages(reset, view)
         self.last_reset_pages = set(reset)
         diverged = self._diverged
         private = self._private
-        root_pages = self.root.pages
+        root_pages = self._root.pages
         for idx in reset:
             diverged.add(idx)
             # A CoW reference all the way down to the root image
@@ -673,14 +533,15 @@ class SnapshotManager:  # nyx: allow[reset]
             else:
                 private.add(idx)
         self._since_create = set()
-        assert device_state is not None
-        self._devices.restore_fast(device_state)
+        self._devices.restore_fast(target.device_state)
+        # Sectors drained into the since-base set mid-cycle (or parked
+        # there by a commit or discard) still differ from the capture
+        # and are reset too, like pages.
         sectors = set(self._disk.take_dirty())
         sectors |= self._disk_since_base
-        for d in range(lo + 1, hi + 1):
-            sectors |= overlays[d - 2].disk_touched
-        assert disk_overlay is not None
-        self._disk.restore_overlay(disk_overlay, sectors)
+        for layer in between:
+            sectors |= layer.disk_touched
+        self._disk.restore_overlay(target.disk_overlay, sectors)
         self._disk_diverged.update(sectors)
         self._disk_since_base = set()
         self._base_depth = depth
@@ -690,12 +551,15 @@ class SnapshotManager:  # nyx: allow[reset]
             + self._costs.device_reset_fast
             + n * self._costs.page_copy
             + len(sectors) * self._costs.sector_copy)
-        self.stats.chain_restores += 1
+        if top == 1:
+            self.stats.incremental_restores += 1
+        else:
+            self.stats.chain_restores += 1
         self.stats.pages_reset += n
         return n
 
     def commit_overlay(self) -> int:
-        """Fold the deepest overlay into its parent (QCOW2 *commit*).
+        """Fold the deepest layer into its parent (QCOW2 *commit*).
 
         Bounds chain length without losing the deepest state: the
         parent's mirror adopts the child's real copies (and their
@@ -705,36 +569,27 @@ class SnapshotManager:  # nyx: allow[reset]
         Returns the number of pages folded; charged per folded page
         plus the fixed hypercall cost.
         """
-        if not self._overlays:
+        layers = self._layers
+        if len(layers) < 2:
             raise SnapshotError("no overlay to commit")
-        child = self._overlays.pop()
+        child = layers.pop()
+        parent = layers[-1]
         n = len(child.touched)
-        if self._overlays:
-            parent = self._overlays[-1]
-            mirror = parent.mirror
-            for idx in child.touched:
-                mirror[idx] = child.mirror[idx]
-                parent.checksums[idx] = child.checksums[idx]
-                parent.verified_ids[idx] = child.verified_ids[idx]
-            parent.touched |= child.touched
-            parent.disk_touched |= child.disk_touched
-            parent.device_state = child.device_state
-            parent.disk_overlay = child.disk_overlay
-        else:
-            mirror = self._mirror
-            assert mirror is not None
-            for idx in child.touched:
-                mirror[idx] = child.mirror[idx]
-                self._inc_checksums[idx] = child.checksums[idx]
-                self._verified_ids[idx] = child.verified_ids[idx]
-            self._mirror_touched |= child.touched
-            self._inc_device_state = child.device_state
-            self._inc_disk_overlay = child.disk_overlay
-        if self._base_depth > self.chain_depth:
+        mirror = parent.mirror
+        for idx in child.touched:
+            mirror[idx] = child.mirror[idx]
+            parent.checksums[idx] = child.checksums[idx]
+            parent.verified_ids[idx] = child.verified_ids[idx]
+        parent.touched |= child.touched
+        parent.disk_touched |= child.disk_touched
+        parent.device_state = child.device_state
+        parent.disk_overlay = child.disk_overlay
+        depth = len(layers)
+        if self._base_depth > depth:
             # The live state descended from the committed child; its
             # view now lives one level down, contents unchanged.
-            self._base_depth = self.chain_depth
-        elif self._base_depth == self.chain_depth:
+            self._base_depth = depth
+        elif self._base_depth == depth:
             # The live state descends from the parent, whose captured
             # view just adopted the child's content: every page (and
             # sector) the child held may now differ between the live
@@ -749,94 +604,62 @@ class SnapshotManager:  # nyx: allow[reset]
         return n
 
     def discard_deepest(self) -> None:
-        """Drop the deepest chain layer (QCOW2 *discard*; free).
+        """Drop the deepest layer (QCOW2 *discard*; free)."""
+        if self._layers:
+            self._truncate(len(self._layers) - 1)
 
-        At depth 1 this is :meth:`discard_incremental`.  When the live
-        state descends from the dropped layer, the pages that layer
-        held privately rejoin the written-since-base set — the next
-        restore resets them against the new base's view.
+    def discard_chain(self) -> None:
+        """Drop every layer (scheduling a new input, §3.4; free and
+        constant-time on an empty chain)."""
+        if self._layers:
+            self._truncate(0)
+
+    def _truncate(self, depth: int) -> None:
+        """Drop every layer deeper than ``depth``.
+
+        When the live state descends from a dropped layer, the pages and
+        sectors the dropped layers held privately rejoin the
+        written-since-base sets: the next restore resets them against
+        the new base's view, and the next layer-1 capture recopies
+        them.  Layer 1's own copies never need to — its mirror outlives
+        the discard.
         """
-        if not self._overlays:
-            self.discard_incremental()
-            return
-        dropped = self._overlays.pop()
-        if self._base_depth > self.chain_depth:
-            self._since_create |= dropped.touched
-            self._disk_since_base |= dropped.disk_touched
-            self._base_depth = self.chain_depth
+        layers = self._layers
+        if self._base_depth > depth:
+            for layer in layers[max(depth, 1):]:
+                self._since_create |= layer.touched
+                self._disk_since_base |= layer.disk_touched
+            self._base_depth = depth
+        del layers[depth:]
 
-    def _verify_overlay(self, overlay: ChainOverlay) -> None:
-        """Checksum-validate one overlay's real copies before a restore.
+    def _verify(self, depth: int) -> None:
+        """Checksum-validate layer ``depth``'s real copies before a
+        restore crosses it.
 
-        Overlay layers always validate (the depth-1 ``verify_every``
-        amortization stays scoped to the depth-1 snapshot).  On
-        mismatch the whole chain is torn down — overlays build on each
-        other, so one corrupt layer poisons everything deeper — and
-        :class:`SnapshotCorruption` sends the caller down the usual
-        rebuild-from-root ladder.
-        """
-        mirror = overlay.mirror
-        checksums = overlay.checksums
-        verified = overlay.verified_ids
-        crc32 = zlib.crc32
-        bad = []
-        for idx, crc in checksums.items():
-            page = mirror[idx]
-            if verified.get(idx) == id(page):
-                continue
-            if crc32(page) != crc:
-                bad.append(idx)
-            else:
-                verified[idx] = id(page)
-        self._clock.charge(len(checksums) * self._costs.page_copy)
-        if not bad:
-            return
-        self._teardown_chain()
-        self.stats.corruption_detected += 1
-        raise SnapshotCorruption(
-            "chain overlay failed validation on %d page(s): %s"
-            % (len(bad), sorted(bad)[:8]))
-
-    def _teardown_chain(self) -> None:
-        """Deactivate the whole chain after a corruption finding.
-
-        Live memory is untouched; the caller falls back to the
-        (immutable, trustworthy) root snapshot, whose restore path
-        resets every diverged page.
-        """
-        self._inc_active = False
-        self._overlays = []
-        self._base_depth = 0
-        self._disk_since_base = set()
-        self._verify_countdown = 0
-
-    def _verify_incremental(self) -> None:
-        """Checksum-validate the mirror's real copies before a restore.
+        Cost: one pass over the real copies, charged like a page copy
+        each.  With ``verify_every`` > 1, layer 1 skips (and does not
+        charge) the pass on all but every N-th restore; detection of an
+        injected fault is then delayed by at most N-1 restores.
+        Host-side, pages whose object identity is unchanged since their
+        last successful check skip the CRC recompute — immutable pages
+        cannot change content without changing identity.
 
         On mismatch the corrupt entries are healed back to CoW root
-        references (the root image is immutable and trustworthy), the
-        incremental snapshot is discarded, and
-        :class:`SnapshotCorruption` tells the caller to rebuild from
-        the root.  Cost: one pass over the real copies, charged like a
-        page copy each.
-
-        With ``verify_every`` == 1 (default) every restore validates.
-        Larger values skip (and do not charge) the validation pass on
-        all but every N-th restore; detection of an injected fault is
-        then delayed by at most N-1 restores.  Host-side, pages whose
-        object identity is unchanged since their last successful check
-        skip the CRC recompute — immutable pages cannot change content
-        without changing identity.
+        references (the root image is immutable and trustworthy, and
+        layer 1's mirror outlives the chain), the whole chain is torn
+        down — layers build on each other, so one bad layer poisons
+        everything deeper — and :class:`SnapshotCorruption` tells the
+        caller to rebuild from the root.  Live memory is untouched.
         """
-        if self._verify_countdown > 0:
-            self._verify_countdown -= 1
-            return
-        self._verify_countdown = self.verify_every - 1
-        mirror = self._mirror
-        assert mirror is not None
-        root = self.root
-        checksums = self._inc_checksums
-        verified = self._verified_ids
+        if depth == 1:
+            if self._verify_countdown > 0:
+                self._verify_countdown -= 1
+                return
+            self._verify_countdown = self.verify_every - 1
+        layer = self._layers[depth - 1]
+        mirror = layer.mirror
+        checksums = layer.checksums
+        verified = layer.verified_ids
         crc32 = zlib.crc32
         bad = []
         for idx, crc in checksums.items():
@@ -850,47 +673,44 @@ class SnapshotManager:  # nyx: allow[reset]
         self._clock.charge(len(checksums) * self._costs.page_copy)
         if not bad:
             return
+        root_pages = self.root.pages
         for idx in bad:
-            mirror[idx] = root.pages[idx]
-            self._mirror_touched.discard(idx)
-            del self._inc_checksums[idx]
-            self._verified_ids.pop(idx, None)
-        self._inc_active = False
-        # Overlays stack on the now-untrusted depth-1 layer; drop them.
-        self._overlays = []
+            mirror[idx] = root_pages[idx]
+            layer.touched.discard(idx)
+            del checksums[idx]
+            verified.pop(idx, None)
+        self._layers = []
         self._base_depth = 0
         self._disk_since_base = set()
         # Force a full validation on the first restore of the rebuilt
-        # snapshot regardless of the amortization schedule.
+        # chain regardless of the amortization schedule.
         self._verify_countdown = 0
         self.stats.corruption_detected += 1
         raise SnapshotCorruption(
-            "incremental snapshot failed validation on %d page(s): %s"
-            % (len(bad), sorted(bad)[:8]))
+            "chain layer %d failed validation on %d page(s): %s"
+            % (depth, len(bad), sorted(bad)[:8]))
 
     # -- durability (checkpoint/resume) ----------------------------------------
 
     def snapshot_state(self) -> dict:
         """Sim-charge-relevant cursors for a campaign checkpoint.
 
-        Taken at a step boundary (root restored, no incremental active,
-        no overlay chain), the only snapshot state that influences
-        *future* sim charges is: which mirror entries are real copies
-        (the stale revert at the next create charges per page), how far
-        the re-mirror period has advanced, and where the amortized
-        validation schedule stands.  Page contents, per-page CRCs and
-        the verified-identity memo are deliberately excluded — they are
+        Taken at a step boundary (no layer above layer 1 live), the
+        only snapshot state that influences *future* sim charges is:
+        which layer-1 mirror entries are real copies (the stale revert
+        at the next create charges per page), how far the re-mirror
+        period has advanced, and where the amortized validation
+        schedule stands.  Page contents, per-page CRCs and the
+        verified-identity memo are deliberately excluded — they are
         host-side caches rebuilt by the next ``create_incremental``
-        (and ``_verified_ids`` holds process-local ``id()``s that must
-        never cross a checkpoint).  ``chain_overlays``/``base_depth``
-        are captured only to *assert* the boundary invariant on
-        restore: a chain never survives to a checkpoint.
+        (and verified identities are process-local ``id()``s that must
+        never cross a checkpoint).  ``chain_depth`` is captured only to
+        assert the boundary invariant on restore.
         """
-        return {"mirror_touched": sorted(self._mirror_touched),
+        return {"mirror_touched": sorted(self._layer1.touched),
                 "creates_since_remirror": self._creates_since_remirror,
                 "verify_countdown": self._verify_countdown,
-                "base_depth": self._base_depth,
-                "chain_overlays": len(self._overlays)}
+                "chain_depth": len(self._layers)}
 
     def restore_state(self, state: dict) -> None:
         """Adopt checkpointed cursors on a freshly (re)built machine.
@@ -900,46 +720,46 @@ class SnapshotManager:  # nyx: allow[reset]
         ``create_incremental`` reverts or recopies every one of them
         (charging exactly what the original run would have), so the
         invariant heals before any restore can observe the difference.
+        A checkpoint may catch layer 1 live (a seed's snapshot marker
+        leaves it up after the import run); the next step discards it
+        anyway, so the resumed machine starts with an empty chain.
         """
-        if int(state.get("chain_overlays", 0)):
+        if int(state.get("chain_depth", 0)) > 1:
             raise SnapshotError(
                 "checkpoint captured a live overlay chain; checkpoints "
                 "must land on step boundaries")
-        self._mirror_touched = set(state["mirror_touched"])
+        layer1 = self._layer1
+        layer1.touched = set(state["mirror_touched"])
+        layer1.checksums = {}
+        layer1.verified_ids = {}
         self._creates_since_remirror = int(state["creates_since_remirror"])
         self._verify_countdown = int(state["verify_countdown"])
-        self._inc_checksums = {}
-        self._verified_ids = {}
-        self._overlays = []
-        self._base_depth = int(state.get("base_depth", 0))
+        self._layers = []
+        self._base_depth = 0
         self._disk_since_base = set()
-
-    #: Pre-chain spelling of the pair, kept for older call sites.
-    host_cursor_state = snapshot_state
-    restore_host_cursor_state = restore_state
 
     # -- fault-injection surface (see repro.faults) ---------------------------
 
     def mirror_private_pages(self) -> set:
-        """Indices of mirror pages that are real copies (safe to
+        """Indices of layer-1 mirror pages that are real copies (safe to
         corrupt without touching the shared root image)."""
-        return set(self._mirror_touched)
+        return set(self._layer1.touched)
 
     def flip_mirror_bit(self, idx: int, byte: int = 0, bit: int = 0) -> None:
-        """Corrupt one bit of a real-copy mirror page (fault injection).
+        """Corrupt one bit of a real-copy layer-1 page (fault injection).
 
         Refuses CoW references into the root: those page objects may be
         shared with other machines, and the point of the fault model is
         that only *this* instance's incremental state decays.
         """
-        mirror = self._mirror
-        if mirror is None or idx not in self._mirror_touched:
+        layer = self._layer1
+        if idx not in layer.touched:
             return
-        page = bytearray(mirror[idx])
+        page = bytearray(layer.mirror[idx])
         if not page:
             return
         page[byte % len(page)] ^= 1 << (bit % 8)
-        mirror[idx] = bytes(page)
+        layer.mirror[idx] = bytes(page)
 
     def charge_fault_latency(self, seconds: float) -> None:
         """Charge injected reset latency (the SLOW_RESET fault)."""
@@ -957,11 +777,11 @@ class SnapshotManager:  # nyx: allow[reset]
 
         Covers the shared root image (held via the root snapshot and
         through every CoW reference in live memory and the mirror),
-        this VM's private live pages, and the incremental-snapshot
-        mirror's real copies.  Unioning these sets across a fleet —
-        together with the root image's own pages — yields the fleet's
-        true unique-page footprint.  O(private + mirror copies): the
-        shared portion comes from the root's cached id set.
+        this VM's private live pages, and layer 1's real copies.
+        Unioning these sets across a fleet — together with the root
+        image's own pages — yields the fleet's true unique-page
+        footprint.  O(private + mirror copies): the shared portion
+        comes from the root's cached id set.
         """
         if self._root is None:
             return set(self._memory.page_identities())
@@ -969,24 +789,20 @@ class SnapshotManager:  # nyx: allow[reset]
         memory = self._memory
         for idx in self._private:
             ids.add(id(memory.page(idx)))
-        mirror = self._mirror
-        if mirror is not None:
-            for idx in self._mirror_touched:
-                ids.add(id(mirror[idx]))
+        mirror = self._layer1.mirror
+        for idx in self._layer1.touched:
+            ids.add(id(mirror[idx]))
         return ids
 
     def private_page_count(self) -> int:
         """Pages of this VM not shared (by identity) with the root.
 
         Used by the §5.3 scalability experiment: instances sharing a
-        root snapshot only own their diverged pages plus mirror copies.
+        root snapshot only own their diverged pages plus layer-1 copies.
         Maintained incrementally — no O(num_pages) identity scan.
         """
         self._absorb_dirty()
-        private = len(self._private)
-        if self._mirror is not None:
-            private += len(self._mirror_touched)
-        return private
+        return len(self._private) + len(self._layer1.touched)
 
     def _absorb_dirty(self) -> None:
         """Fold the hardware dirty log into the diverged-from-root set."""

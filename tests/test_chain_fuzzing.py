@@ -147,22 +147,83 @@ class TestChainCampaigns:
         assert handles.fuzzer.executor.chain_node_count <= 2
 
     def test_fault_injected_chain_campaign_survives(self):
-        # Regression: injected snapshot corruption during a mid-run
+        # Regressions: injected snapshot corruption during a mid-run
         # chain hop (run_suffix's restore_to_depth) used to escape the
-        # heal/rebuild/degrade ladder and abort the campaign.
+        # heal/rebuild/degrade ladder and abort the campaign; and a
+        # one-layer chain emptied by a failed rebuild used to abort it
+        # with "no incremental snapshot to fuzz from".
         from repro.perf.macro import deep_session_input
-        stats, handles = _campaign_stats(
-            policy="bandit", seed=0, execs=200, target="lightftp",
-            seeds=[deep_session_input()], max_chain_depth=3,
-            fault_rate=0.1, exec_timeout=0.05)
-        assert stats.execs == 200
-        assert handles.machine.snapshots.stats.corruption_detected > 0
-        assert handles.fuzzer.executor.snapshot_rebuilds > 0
+        for policy, depth in (("bandit", 3), ("balanced", 1)):
+            stats, handles = _campaign_stats(
+                policy=policy, seed=0, execs=200, target="lightftp",
+                seeds=[deep_session_input()], max_chain_depth=depth,
+                fault_rate=0.1, exec_timeout=0.05)
+            assert stats.execs == 200, policy
+            snap = handles.machine.snapshots.stats
+            assert snap.corruption_detected > 0, policy
+            assert handles.fuzzer.executor.snapshot_rebuilds > 0, policy
 
     def test_chain_counters_stay_out_of_sim_view(self):
         stats, _h = _campaign_stats(max_chain_depth=1)
         assert "chain_pushes" not in stats.as_dict()
         assert "chain_pushes" in stats.host_counters()
+
+
+class TestResumeEquivalence:
+    """The paper's §3 claim end to end: resuming from a snapshot is
+    equivalent to re-executing the prefix from the root.
+
+    On the 22-packet FTP session, each chain node resumes a child whose
+    packet right after the node's point is mutated; the suffix run must
+    leave the same responses and crash identity as a cold from-root run
+    of the same child.  Unlike the manager-level chain model, this goes
+    through the guest kernel and the interceptor, so it also checks
+    which layer's memory, device and disk state a restore reads.
+    """
+
+    #: Placement points: one-layer snapshots along the session, and two
+    #: depth-4 chains.  The nodes of the second chain differ observably
+    #: (before login, logged in, after each CWD), so a restore that
+    #: reads the wrong layer shows up in the PWD/CDUP responses.
+    SETUPS = ([0], [7], [15], [20], [4, 9, 14, 19], [0, 1, 6, 11])
+    MUTATIONS = (b"PWD\r\n", b"CDUP\r\n")
+
+    def test_suffix_runs_match_cold_runs(self):
+        from repro.fuzz.campaign import build_campaign
+        from repro.perf.macro import deep_session_input
+        from repro.targets import PROFILES
+        handles = build_campaign(PROFILES["lightftp"], policy="none",
+                                 seed=0, time_budget=1e9, max_chain_depth=4)
+        executor = handles.executor
+        executor.trace_elision = False
+        interceptor = handles.interceptor
+        base = deep_session_input()
+        packets = base.packet_indices()
+
+        def outcome(result):
+            crash = result.crash.dedup_key if result.crash else None
+            return interceptor.responses(0), crash
+
+        cases = []
+        for points in self.SETUPS:
+            for depth, point in enumerate(points, start=1):
+                for payload in self.MUTATIONS:
+                    child = base.copy()
+                    child.with_payload(packets[point + 1], payload)
+                    executor.run_full(base, snapshot_after_packets=points)
+                    assert executor.chain_node_count == len(points)
+                    resume = executor.chain_resume_index(depth)
+                    resumed = executor.run_suffix(child, depth=depth)
+                    # Resumed from node ``depth`` itself: the mutation
+                    # sits right at its resume point.
+                    assert resumed.suffix_run
+                    assert resumed.ops_executed == len(child.ops) - resume
+                    warm = outcome(resumed)
+                    executor.finish_snapshot_cycle()
+                    cold = outcome(executor.run_full(child))
+                    cases.append((points, depth, payload, warm == cold))
+        assert len(cases) == 24
+        assert [case for case in cases if not case[-1]] == []
 
 
 class TestChainBench:

@@ -130,8 +130,9 @@ class TestChainBasics:
     def test_discard_deepest_at_depth_one_discards_incremental(self):
         m = chain_machine([b"one"])
         m.snapshots.discard_deepest()
-        assert not m.snapshots.incremental_active
         assert m.snapshots.chain_depth == 0
+        with pytest.raises(SnapshotError):
+            m.restore_incremental()
 
     def test_create_incremental_replaces_chain(self):
         m = chain_machine([b"one", b"two"])
@@ -164,9 +165,9 @@ class TestChainAccounting:
         assert stats.deepest_chain == 3
 
     def test_depth_one_chain_api_matches_legacy(self):
-        """restore_to_depth(1) on a depth-1 chain is byte- and
-        cost-identical to restore_incremental — the identity that keeps
-        ``--max-chain-depth 1`` campaigns on the pre-chain trajectory."""
+        """restore_incremental is restore_to_depth(1): the paper's
+        incremental snapshot is chain layer 1, in state *and* sim
+        clock."""
         ops = [("w", 3, b"dirty"), ("r",), ("w", 7, b"more!"), ("w", 3, b"x"),
                ("r",), ("r",)]
         machines = [small_machine(), small_machine()]
@@ -200,7 +201,7 @@ class TestChainAccounting:
 class TestChainCorruption:
     def test_corrupt_overlay_detected_and_chain_torn_down(self):
         m = chain_machine([b"one", b"two", b"three"])
-        overlay = m.snapshots._overlays[0]
+        overlay = m.snapshots._layers[1]
         idx = next(iter(overlay.checksums))
         overlay.mirror[idx] = b"\xff" * PAGE_SIZE
         with pytest.raises(SnapshotCorruption):
@@ -213,7 +214,7 @@ class TestChainCorruption:
 
     def test_reset_for_next_test_falls_back_to_root(self):
         m = chain_machine([b"one", b"two"])
-        overlay = m.snapshots._overlays[0]
+        overlay = m.snapshots._layers[1]
         idx = next(iter(overlay.checksums))
         overlay.mirror[idx] = b"\xff" * PAGE_SIZE
         m.memory.write(20 * PAGE_SIZE, b"junk")

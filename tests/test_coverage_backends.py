@@ -366,11 +366,11 @@ class TestElisionInvalidation:
         ground_truth = self._ground_truth(executor, base, child)
 
         self._tamper(executor._recordings[1])
-        machine.snapshots.discard_incremental()  # force the heal path
+        machine.snapshots.discard_chain()  # force the heal path
         executor.run_suffix(base)
         assert executor.elision_invalidations >= 1
         assert not executor._recordings
-        assert executor._suffix.capture_rec is None
+        assert executor._chain_nodes[-1].capture_rec is None
 
         # With the recordings dropped, the child runs fully traced and
         # the tampered fold can do no harm.
@@ -387,7 +387,7 @@ class TestElisionInvalidation:
 
         executor.invalidate_trace_recordings = lambda: None  # the bug
         self._tamper(executor._recordings[1])
-        machine.snapshots.discard_incremental()
+        machine.snapshots.discard_chain()
         executor.run_suffix(base)
         assert 1 in executor._recordings  # stale recording survived
 

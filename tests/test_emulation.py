@@ -104,8 +104,8 @@ class TestExecutor:
         ops = [Op("connection"), Op("packet", (0,), (b"one",)),
                Op("snapshot"), Op("packet", (0,), (b"two",))]
         executor.run_full(FuzzInput(ops))
-        assert machine.snapshots.incremental_active
-        assert executor.suffix_resume_index == 3
+        assert machine.snapshots.chain_depth == 1
+        assert executor.chain_resume_index(1) == 3
 
     def test_suffix_run_skips_prefix(self):
         machine, kernel, interceptor, executor = echo_campaign()
@@ -134,7 +134,7 @@ class TestExecutor:
         inp = packets_input([b"p1", b"p2"])
         executor.run_full(inp, snapshot_after_packet=0)
         executor.finish_snapshot_cycle()
-        assert not machine.snapshots.incremental_active
+        assert machine.snapshots.chain_depth == 0
         result = executor.run_full(inp)
         assert result.packets_consumed == 2
 

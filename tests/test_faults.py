@@ -247,7 +247,7 @@ class TestSelfHealingSnapshots:
         injector.force_next(FaultKind.SNAPSHOT_BITFLIP)
         with pytest.raises(SnapshotCorruption):
             machine.restore_incremental()
-        assert not machine.snapshots.incremental_active
+        assert machine.snapshots.chain_depth == 0
         assert machine.snapshots.stats.corruption_detected == 1
         # The root is untouched and restores cleanly.
         machine.restore_root()
@@ -261,7 +261,7 @@ class TestSelfHealingSnapshots:
         injector.force_next(FaultKind.SNAPSHOT_BITFLIP)
         machine.reset_for_next_test()  # must not raise
         assert machine.snapshot_corruptions == 1
-        assert not machine.snapshots.incremental_active
+        assert machine.snapshots.chain_depth == 0
 
     def test_bitflip_never_touches_shared_root_pages(self):
         machine, kernel, _e, injector = self.corrupted_restore_rig()
@@ -271,7 +271,8 @@ class TestSelfHealingSnapshots:
         machine.create_incremental()
         root_page_ids = {id(p) for p in machine.snapshots.root.pages}
         for idx in machine.snapshots.mirror_private_pages():
-            assert id(machine.snapshots._mirror[idx]) not in root_page_ids
+            assert (id(machine.snapshots._layer1.mirror[idx])
+                    not in root_page_ids)
         injector.force_next(FaultKind.SNAPSHOT_BITFLIP)
         injector.on_incremental_restore(machine.snapshots)
         # Root page contents unchanged by the flip.
@@ -285,7 +286,7 @@ class TestSelfHealingSnapshots:
         handles.machine.snapshots.injector = injector
         seed_input = PROFILES["lightftp"].seeds()[1]  # 7 packets
         handles.executor.run_full(seed_input, snapshot_after_packet=4)
-        resume = handles.executor.suffix_resume_index
+        resume = handles.executor.chain_resume_index(1)
         assert resume is not None
         # Corrupt the *next* incremental restore; the suffix run after
         # it must transparently rebuild from the root.
@@ -304,8 +305,8 @@ class TestSelfHealingSnapshots:
         handles.executor.run_full(seed_input, snapshot_after_packet=4)
         # Amputate the rebuild recipe and kill the snapshot: healing
         # cannot succeed, so the executor must degrade, not loop.
-        handles.executor._suffix.base_input = None
-        handles.machine.snapshots.discard_incremental()
+        handles.executor._chain_nodes[-1].base_input = None
+        handles.machine.snapshots.discard_chain()
         result = handles.executor.run_suffix(seed_input)
         assert handles.executor.degraded_root_only
         assert not result.suffix_run  # ran from the root instead
@@ -371,6 +372,17 @@ class TestWorkerSupervision:
         before = victim.fuzzer.clock.now
         campaign._handle_worker_failure(victim)
         assert victim.fuzzer.clock.now > before
+
+    def test_recovery_drops_the_whole_chain(self):
+        campaign = tiny_parallel_campaign()
+        victim = campaign.workers[0]
+        seed_input = PROFILES["lighttpd"].seeds()[0]
+        victim.executor.run_full(seed_input, snapshot_after_packet=0)
+        assert victim.executor.chain_node_count == 1
+        campaign._handle_worker_failure(victim)
+        # Executor and snapshot manager agree: no chain node survives.
+        assert victim.executor.chain_node_count == 0
+        assert victim.machine.snapshots.chain_depth == 0
 
     def test_killer_entry_is_quarantined_fleet_wide(self):
         campaign = tiny_parallel_campaign()

@@ -157,11 +157,11 @@ def test_sealing_matches_always_immutable_reference(ops):
         elif kind == "create":
             assert fast.create_incremental() == slow.create_incremental()
         elif kind == "restore_inc":
-            if fast.snapshots.incremental_active:
-                assert slow.snapshots.incremental_active
+            if fast.snapshots.chain_depth:
+                assert slow.snapshots.chain_depth
                 assert fast.restore_incremental() == slow.restore_incremental()
             else:
-                assert not slow.snapshots.incremental_active
+                assert not slow.snapshots.chain_depth
         else:
             assert fast.restore_root() == slow.restore_root()
 
@@ -232,7 +232,7 @@ def _elision_sequence(machine, executor, base, child):
     executor.finish_snapshot_cycle()
     executor.run_full(base)                       # re-arm the snapshot
     traces.append(executor.run_suffix(child).trace)
-    machine.snapshots.discard_incremental()       # corrupt -> heal
+    machine.snapshots.discard_chain()             # corrupt -> heal
     traces.append(executor.run_suffix(child).trace)
     executor.finish_snapshot_cycle()
     return traces

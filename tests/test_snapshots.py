@@ -140,6 +140,24 @@ class TestIncrementalSnapshot:
             m.restore_root()
         assert m.snapshots.stats.remirrors >= 1
 
+    def test_remirror_drops_stale_checksums(self, monkeypatch):
+        # Regression: a re-mirror kept the previous layer 1's CRCs, so
+        # the next restore "found" corruption on pages the fresh mirror
+        # never copied.
+        monkeypatch.setattr("repro.vm.snapshot.REMIRROR_PERIOD", 1)
+        m = small_machine()
+        m.capture_root()
+        m.memory.write(0, b"first")
+        m.create_incremental()
+        m.restore_root()
+        m.memory.write(PAGE_SIZE, b"second")
+        m.create_incremental()
+        assert m.snapshots.stats.remirrors == 1
+        m.memory.write(PAGE_SIZE, b"junk..")
+        m.restore_incremental()
+        assert m.snapshots.stats.corruption_detected == 0
+        assert m.memory.read(PAGE_SIZE, 6) == b"second"
+
     def test_reset_for_next_test_prefers_incremental(self):
         m = small_machine()
         m.capture_root()
@@ -148,7 +166,7 @@ class TestIncrementalSnapshot:
         m.memory.write(0, b"tail")
         m.reset_for_next_test()
         assert m.memory.read(0, 6) == b"prefix"
-        m.snapshots.discard_incremental()
+        m.snapshots.discard_chain()
         m.reset_for_next_test()
         assert m.memory.read(0, 6) == bytes(6)
 
