@@ -38,11 +38,13 @@ from __future__ import annotations
 
 import ast
 import json
+import os
 import pathlib
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.diagnostics import Diagnostic, has_marker
+from repro.analysis.model import Module, Root, SourceTree, source_tree
 from repro.analysis.resetlint import (ClassRecord, _allow_tokens,
                                       _default_expr, _is_direct_self_attr,
                                       _MethodScan, _scan_class)
@@ -56,7 +58,8 @@ STATE_PAIRS: Dict[str, str] = {
 #: spelled-out family alias.
 FAMILY_TOKEN = "state"
 FAMILY_ALIAS = "NYX06x"
-#: Default golden inventory location, relative to the repo root.
+#: Golden inventory location, relative to the analyzed tree's
+#: grandparent (the checkout holding ``src/<package>``).
 GOLDEN_INVENTORY = pathlib.Path("tests") / "golden" / "state_inventory.json"
 
 def _ephemeral_marked(lines: Sequence[str], lineno: int) -> bool:
@@ -158,9 +161,9 @@ class _DurClass:
         return "/".join(names) if names else "restore"
 
 
-def _scan_dur_class(node: ast.ClassDef, lines: Sequence[str]
+def _scan_dur_class(module: Module, node: ast.ClassDef
                     ) -> Optional[_DurClass]:
-    dur = _DurClass(record=_scan_class(node, lines))
+    dur = _DurClass(record=_scan_class(module, node))
     restore_names = {v: k for k, v in STATE_PAIRS.items()}
     for stmt in node.body:
         if isinstance(stmt, ast.Assign):
@@ -365,24 +368,21 @@ def _frame_kind_registry(tree: ast.Module) -> Optional[Set[str]]:
 class _ModuleScan:
     """Everything durlint learned about one module."""
 
-    def __init__(self, filename: str, text: str) -> None:
-        self.filename = filename
-        self.lines = text.splitlines()
+    def __init__(self, module: Module) -> None:
+        self.filename = module.filename
+        self.lines = module.lines
         self.classes: List[_DurClass] = []
         self.appends: List[Tuple[int, str]] = []
         self.frame_kinds: Optional[Set[str]] = None
         self.module_state_format: Optional[int] = None
-        self.parse_error: Optional[Diagnostic] = None
-        try:
-            tree = ast.parse(text, filename=filename)
-        except SyntaxError as err:
-            self.parse_error = Diagnostic(
-                "NYX045", "unparseable module: %s; durability cannot be "
-                "audited" % err, file=filename, line=err.lineno or 0)
+        self.parse_error = module.parse_error(
+            "NYX045", "; durability cannot be audited")
+        tree = module.tree
+        if tree is None:
             return
         for node in tree.body:
             if isinstance(node, ast.ClassDef):
-                dur = _scan_dur_class(node, self.lines)
+                dur = _scan_dur_class(module, node)
                 if dur is not None:
                     self.classes.append(dur)
             elif isinstance(node, ast.Assign):
@@ -424,7 +424,7 @@ def analyze_durability_source(filename: str, text: str,
     registries; without one, the module's own registry (if any) is
     used, and appends with no registry in sight are all flagged.
     """
-    scan = _ModuleScan(filename, text)
+    scan = _ModuleScan(Module(filename, text))
     if scan.parse_error is not None:
         return [scan.parse_error]
     diags: List[Diagnostic] = []
@@ -436,29 +436,17 @@ def analyze_durability_source(filename: str, text: str,
     return diags
 
 
-def _dur_tree_files(root: str) -> List[pathlib.Path]:
-    root_path = pathlib.Path(root)
-    return [p for p in sorted(root_path.rglob("*.py"))
-            if "__pycache__" not in p.parts]
+def _tree_scans(tree: SourceTree) -> List[_ModuleScan]:
+    scans = [_ModuleScan(tree.module(path)) for path in tree.paths()]
+    tree.done()
+    return scans
 
 
-def state_inventory(root: str) -> Dict[str, Dict[str, object]]:
-    """Capture-set inventory of every stateful class under ``root``.
-
-    ``{Class: {"module": relpath, "keys": sorted snapshot keys,
-    "state_format": int | None}}`` — the structure committed to
-    ``tests/golden/state_inventory.json`` and diffed by NYX062.
-    """
+def _inventory(tree: SourceTree, scans: Sequence[_ModuleScan]
+               ) -> Dict[str, Dict[str, object]]:
     inventory: Dict[str, Dict[str, object]] = {}
-    root_path = pathlib.Path(root)
-    for path in _dur_tree_files(root):
-        scan = _ModuleScan(str(path), path.read_text(encoding="utf-8"))
-        if scan.parse_error is not None:
-            continue
-        try:
-            module = path.relative_to(root_path).as_posix()
-        except ValueError:
-            module = path.as_posix()
+    for scan in scans:
+        module = pathlib.Path(scan.filename).relative_to(tree.root)
         for dur in scan.classes:
             if dur.captured is None:
                 continue
@@ -466,32 +454,41 @@ def state_inventory(root: str) -> Dict[str, Dict[str, object]]:
             if fmt is None:
                 fmt = scan.module_state_format
             inventory[dur.record.name] = {
-                "module": module,
+                "module": module.as_posix(),
                 "keys": sorted(dur.captured),
                 "state_format": fmt,
             }
     return inventory
 
 
-def _load_golden(root: str,
+def state_inventory(root: Root) -> Dict[str, Dict[str, object]]:
+    """Capture-set inventory of every stateful class under ``root``.
+
+    ``{Class: {"module": relpath, "keys": sorted snapshot keys,
+    "state_format": int | None}}`` — the structure committed to
+    ``tests/golden/state_inventory.json`` and diffed by NYX062.
+    """
+    tree = source_tree(root)
+    return _inventory(tree, _tree_scans(tree))
+
+
+def _load_golden(root: pathlib.Path,
                  golden: Optional[str]) -> Tuple[Optional[dict],
                                                  Optional[str]]:
+    """``golden``, else the tree's own (never one under the cwd)."""
     if golden is not None:
         path = pathlib.Path(golden)
-        candidates = [path]
     else:
-        candidates = [pathlib.Path(root).parent.parent / GOLDEN_INVENTORY,
-                      GOLDEN_INVENTORY]
-    for candidate in candidates:
-        if candidate.is_file():
-            return (json.loads(candidate.read_text(encoding="utf-8")),
-                    str(candidate))
+        path = pathlib.Path(os.path.normpath(
+            os.path.join(root, os.pardir, os.pardir))) / GOLDEN_INVENTORY
+    if path.is_file():
+        return json.loads(path.read_text(encoding="utf-8")), str(path)
     return None, None
 
 
-def _golden_diags(root: str, golden_path: Optional[str],
+def _golden_diags(current: Dict[str, Dict[str, object]],
+                  golden_path: Optional[str],
                   golden: dict) -> List[Diagnostic]:
-    current = state_inventory(root)
     diags: List[Diagnostic] = []
     for name in sorted(set(current) | set(golden)):
         if name not in golden:
@@ -538,16 +535,15 @@ def _golden_diags(root: str, golden_path: Optional[str],
     return diags
 
 
-def analyze_durability_tree(root: str,
+def analyze_durability_tree(root: Root,
                             golden: Optional[str] = None
                             ) -> List[Diagnostic]:
     """Durability lint of every module under ``root`` plus the NYX062
     golden-inventory diff (skipped when no golden exists yet)."""
-    scans: List[_ModuleScan] = []
+    tree = source_tree(root)
+    scans = _tree_scans(tree)
     handled: Optional[Set[str]] = None
-    for path in _dur_tree_files(root):
-        scan = _ModuleScan(str(path), path.read_text(encoding="utf-8"))
-        scans.append(scan)
+    for scan in scans:
         if scan.frame_kinds is not None:
             handled = (handled or set()) | scan.frame_kinds
     diags: List[Diagnostic] = []
@@ -558,9 +554,10 @@ def analyze_durability_tree(root: str,
         for dur in scan.classes:
             diags.extend(_class_diags(dur, scan.filename, scan.lines))
         diags.extend(_append_diags(scan, handled))
-    golden_data, golden_path = _load_golden(root, golden)
+    golden_data, golden_path = _load_golden(tree.root, golden)
     if golden_data is not None:
-        diags.extend(_golden_diags(root, golden_path, golden_data))
+        diags.extend(_golden_diags(_inventory(tree, scans), golden_path,
+                                   golden_data))
     diags.sort(key=lambda d: (d.file or "", d.line or 0, d.code))
     return diags
 
@@ -569,16 +566,13 @@ def analyze_durability_tree(root: str,
 # fix-it stubs
 # ---------------------------------------------------------------------------
 
-def durability_fixit_stubs(root: str) -> Dict[str, str]:
+def durability_fixit_stubs(root: Root) -> Dict[str, str]:
     """Capture/restore stubs for every NYX060 finding, keyed
     ``<path>::<Class>``.  Defaults referencing ``__init__`` arguments
     need hand-editing; attributes that are resume-ephemeral by design
     should get ``# nyx: state[ephemeral]`` instead."""
     stubs: Dict[str, str] = {}
-    for path in _dur_tree_files(root):
-        scan = _ModuleScan(str(path), path.read_text(encoding="utf-8"))
-        if scan.parse_error is not None:
-            continue
+    for scan in _tree_scans(source_tree(root)):
         for dur in scan.classes:
             missing = [d for d in _class_diags(dur, scan.filename,
                                                scan.lines)
@@ -600,5 +594,6 @@ def durability_fixit_stubs(root: str) -> Dict[str, str]:
             lines += ["    # add to %s.%s():" % (record.name, restore)]
             lines += ['        self.%s = state["%s"]  # default: %s'
                       % (a.name, a.name, _default_expr(a)) for a in attrs]
-            stubs["%s::%s" % (path, record.name)] = "\n".join(lines) + "\n"
+            stubs["%s::%s" % (scan.filename, record.name)] = (
+                "\n".join(lines) + "\n")
     return stubs

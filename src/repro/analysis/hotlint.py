@@ -50,13 +50,12 @@ suppression should carry a justification comment.
 from __future__ import annotations
 
 import ast
-import io
 import pathlib
-import tokenize
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from repro.analysis.diagnostics import MARKER_RES, Diagnostic, allow_tokens
+from repro.analysis.diagnostics import Diagnostic, allow_tokens
+from repro.analysis.model import Module, Root, source_tree
 from repro.analysis.resetlint import _scan_class
 
 #: Family tokens accepted by ``# nyx: allow[...]``.
@@ -72,21 +71,6 @@ ATTR_LOAD_THRESHOLD = 3
 # ---------------------------------------------------------------------------
 # module indexing
 # ---------------------------------------------------------------------------
-
-def _marker_comment_lines(text: str) -> Set[int]:
-    """Lines whose actual comment (not a string literal) carries the
-    hot marker."""
-    lines: Set[int] = set()
-    hot_re = MARKER_RES["hot"]
-    try:
-        for tok in tokenize.generate_tokens(io.StringIO(text).readline):
-            if (tok.type == tokenize.COMMENT
-                    and hot_re.search(tok.string)):
-                lines.add(tok.start[0])
-    except (tokenize.TokenError, IndentationError, SyntaxError):
-        pass  # the AST parse reports the breakage
-    return lines
-
 
 @dataclass
 class FuncRecord:
@@ -141,37 +125,33 @@ class _CallScan(ast.NodeVisitor):
 class ModuleIndex:
     """Hot-lint view of one module: functions, roots, annotations."""
 
-    def __init__(self, filename: str, text: str, module: str) -> None:
-        self.filename = filename
+    def __init__(self, source: Module, module: str) -> None:
+        self.filename = source.filename
         self.module = module
-        self.lines = text.splitlines()
+        self.lines = source.lines
         self.functions: List[FuncRecord] = []
         #: class name -> known instance-attribute names (callable
         #: attributes make a self-call resolvable-but-external).
         self.class_attrs: Dict[str, Set[str]] = {}
-        self.parse_error: Optional[Diagnostic] = None
+        self.parse_error = source.parse_error(
+            "NYX075", "; hot-path reachability cannot be computed")
         #: lines whose def/class statement may carry a hot marker.
         self.def_lines: Set[int] = set()
         #: lines carrying a genuine hot-marker *comment* (tokenized, so
         #: docstrings discussing the marker do not count).
-        self.hot_marker_lines: Set[int] = _marker_comment_lines(text)
-        try:
-            tree = ast.parse(text, filename=filename)
-        except SyntaxError as err:
-            self.parse_error = Diagnostic(
-                "NYX075", "unparseable module: %s; hot-path reachability "
-                "cannot be computed" % err,
-                file=filename, line=err.lineno or 0)
+        self.hot_marker_lines: Set[int] = source.hot_lines
+        tree = source.tree
+        if tree is None:
             return
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 self._add_function(node, None)
             elif isinstance(node, ast.ClassDef):
-                self._add_class(node)
+                self._add_class(source, node)
 
-    def _add_class(self, node: ast.ClassDef) -> None:
+    def _add_class(self, source: Module, node: ast.ClassDef) -> None:
         self.def_lines.add(node.lineno)
-        record = _scan_class(node, self.lines)
+        record = _scan_class(source, node)
         self.class_attrs[node.name] = set(record.attrs)
         class_hot = node.lineno in self.hot_marker_lines
         has_bases = any(not (isinstance(b, ast.Name) and b.id == "object")
@@ -222,11 +202,6 @@ def _module_name(path: pathlib.Path, root: pathlib.Path) -> str:
     return ".".join(parts)
 
 
-def _tree_files(root: str) -> List[pathlib.Path]:
-    return [p for p in sorted(pathlib.Path(root).rglob("*.py"))
-            if "__pycache__" not in p.parts]
-
-
 # ---------------------------------------------------------------------------
 # call-graph reachability
 # ---------------------------------------------------------------------------
@@ -235,6 +210,7 @@ class HotGraph:
     """Cross-module call graph + hot-reachability over module indexes."""
 
     def __init__(self, indexes: Sequence[ModuleIndex]) -> None:
+        #: Every module, unparseable ones (no functions) included.
         self.indexes = list(indexes)
         self.functions: List[FuncRecord] = []
         for index in self.indexes:
@@ -626,11 +602,9 @@ def _resolution_diags(index: ModuleIndex, graph: HotGraph
 # entry points
 # ---------------------------------------------------------------------------
 
-def _analyze_indexes(indexes: List[ModuleIndex]
-                     ) -> Tuple[List[Diagnostic], HotGraph]:
-    graph = HotGraph([i for i in indexes if i.parse_error is None])
+def _analyze(graph: HotGraph) -> List[Diagnostic]:
     diags: List[Diagnostic] = []
-    for index in indexes:
+    for index in graph.indexes:
         if index.parse_error is not None:
             diags.append(index.parse_error)
             continue
@@ -640,46 +614,42 @@ def _analyze_indexes(indexes: List[ModuleIndex]
             if graph.is_hot(func):
                 diags.extend(_HotRules(func, index.lines).run())
     diags.sort(key=lambda d: (d.file or "", d.line or 0, d.code))
-    return diags, graph
+    return diags
 
 
 def analyze_hot_source(filename: str, text: str,
                        module: str = "module") -> List[Diagnostic]:
     """Hot-path lint of one module in isolation."""
-    diags, _graph = _analyze_indexes([ModuleIndex(filename, text, module)])
-    return diags
+    return _analyze(HotGraph([ModuleIndex(Module(filename, text), module)]))
 
 
-def _tree_indexes(root: str) -> List[ModuleIndex]:
-    root_path = pathlib.Path(root)
-    return [ModuleIndex(str(path), path.read_text(encoding="utf-8"),
-                        _module_name(path, root_path))
-            for path in _tree_files(root)]
+def _tree_graph(root: Root) -> HotGraph:
+    tree = source_tree(root)
+    graph = HotGraph([ModuleIndex(tree.module(path),
+                                  _module_name(path, tree.root))
+                      for path in tree.paths()])
+    tree.done()
+    return graph
 
 
-def analyze_hot_tree(root: str) -> List[Diagnostic]:
+def analyze_hot_tree(root: Root) -> List[Diagnostic]:
     """Hot-path lint of every module under ``root`` with cross-module
     call-edge resolution."""
-    diags, _graph = _analyze_indexes(_tree_indexes(root))
-    return diags
+    return _analyze(_tree_graph(root))
 
 
-def hot_sites(root: str) -> Dict[str, Set[str]]:
+def hot_sites(root: Root) -> Dict[str, Set[str]]:
     """``{module: {qualnames}}`` of hot-reachable functions under
     ``root`` — the static coverage map the profiler's NYX077 check
     compares runtime cost ranks against."""
-    _diags, graph = _analyze_indexes(_tree_indexes(root))
-    return graph.hot_sites()
+    return _tree_graph(root).hot_sites()
 
 
-def hot_fixit_stubs(root: str) -> Dict[str, str]:
+def hot_fixit_stubs(root: Root) -> Dict[str, str]:
     """NYX072 local-alias stubs, keyed ``<path>::<qualname>``."""
     stubs: Dict[str, str] = {}
-    indexes = _tree_indexes(root)
-    graph = HotGraph([i for i in indexes if i.parse_error is None])
-    for index in indexes:
-        if index.parse_error is not None:
-            continue
+    graph = _tree_graph(root)
+    for index in graph.indexes:
         for func in index.functions:
             if not graph.is_hot(func):
                 continue

@@ -44,11 +44,11 @@ the backstop for that.
 from __future__ import annotations
 
 import ast
-import pathlib
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.diagnostics import Diagnostic, allow_tokens, has_marker
+from repro.analysis.model import Module, Root, source_tree
 
 #: Packages (relative to the scanned root) that hold snapshot-covered
 #: machinery and its host-side drivers.
@@ -242,7 +242,11 @@ class _MethodScan(ast.NodeVisitor):
         self.generic_visit(node)
 
 
-def _scan_class(node: ast.ClassDef, lines: Sequence[str]) -> ClassRecord:
+def _scan_class(module: Module, node: ast.ClassDef) -> ClassRecord:
+    """The class's registry, built once and kept on its module."""
+    if node in module.classes:
+        return module.classes[node]
+    lines = module.lines
     record = ClassRecord(node.name, node.lineno,
                          memory_marked=_memory_marked(lines, node.lineno),
                          allow_tokens=_allow_tokens(lines, node.lineno))
@@ -293,31 +297,28 @@ def _scan_class(node: ast.ClassDef, lines: Sequence[str]) -> ClassRecord:
                     record.attr(name).mutations.append((line, stmt.name))
     for attr in record.attrs.values():
         attr.mutations.sort()
+    module.classes[node] = record
     return record
 
 
 class _ModuleScan:
     """Everything the lint learned about one module."""
 
-    def __init__(self, filename: str, text: str) -> None:
-        self.filename = filename
-        self.lines = text.splitlines()
+    def __init__(self, module: Module) -> None:
+        self.filename = module.filename
+        self.lines = module.lines
         self.classes: List[ClassRecord] = []
         #: name -> definition line of module-level mutable containers.
         self.globals: Dict[str, int] = {}
         #: ``(line, name)`` mutation events on module-level names.
         self.global_mutations: List[Tuple[int, str]] = []
-        self.parse_error: Optional[Diagnostic] = None
-        try:
-            tree = ast.parse(text, filename=filename)
-        except SyntaxError as err:
-            self.parse_error = Diagnostic(
-                "NYX045", "unparseable module: %s" % err,
-                file=filename, line=err.lineno or 0)
+        self.parse_error = module.parse_error("NYX045")
+        tree = module.tree
+        if tree is None:
             return
         for node in tree.body:
             if isinstance(node, ast.ClassDef):
-                self.classes.append(_scan_class(node, self.lines))
+                self.classes.append(_scan_class(module, node))
             elif isinstance(node, ast.Assign):
                 for target in node.targets:
                     if (isinstance(target, ast.Name)
@@ -469,7 +470,11 @@ def _class_diags(record: ClassRecord, filename: str,
 
 def analyze_reset_source(filename: str, text: str) -> List[Diagnostic]:
     """Reset-safety lint of one module's source."""
-    scan = _ModuleScan(filename, text)
+    return _module_diags(_ModuleScan(Module(filename, text)))
+
+
+def _module_diags(scan: _ModuleScan) -> List[Diagnostic]:
+    filename = scan.filename
     if scan.parse_error is not None:
         return [scan.parse_error]
     diags: List[Diagnostic] = []
@@ -494,26 +499,25 @@ def analyze_reset_source(filename: str, text: str) -> List[Diagnostic]:
     return diags
 
 
-def _tree_files(root: str) -> List[pathlib.Path]:
-    root_path = pathlib.Path(root)
-    dirs = [root_path / d for d in SCAN_DIRS if (root_path / d).is_dir()]
-    if not dirs:
-        dirs = [root_path]
-    files: List[pathlib.Path] = []
-    for base in dirs:
-        files.extend(p for p in sorted(base.rglob("*.py"))
-                     if "__pycache__" not in p.parts)
-    return files
+def _tree_scans(root: Root) -> List[_ModuleScan]:
+    tree = source_tree(root)
+    paths = tree.paths()
+    dirs = [d for d in SCAN_DIRS if (tree.root / d).is_dir()]
+    if dirs:
+        paths = [p for d in dirs for p in paths
+                 if p.relative_to(tree.root).parts[0] == d]
+    scans = [_ModuleScan(tree.module(path)) for path in paths]
+    tree.done()
+    return scans
 
 
-def analyze_reset_tree(root: str) -> List[Diagnostic]:
+def analyze_reset_tree(root: Root) -> List[Diagnostic]:
     """Lint ``vm/``, ``guestos/``, ``emu/`` and ``faults/`` under
     ``root`` (or, for fixture trees without those packages, every
     ``.py`` file under ``root``)."""
     diags: List[Diagnostic] = []
-    for path in _tree_files(root):
-        diags.extend(analyze_reset_source(
-            str(path), path.read_text(encoding="utf-8")))
+    for scan in _tree_scans(root):
+        diags.extend(_module_diags(scan))
     return diags
 
 
@@ -538,12 +542,13 @@ def fixit_stubs(filename: str, text: str) -> Dict[str, str]:
     ``reset_for_test`` method re-applying the ``__init__`` defaults.
     Defaults referencing ``__init__`` arguments need hand-editing.
     """
-    scan = _ModuleScan(filename, text)
-    if scan.parse_error is not None:
-        return {}
+    return _scan_stubs(_ModuleScan(Module(filename, text)))
+
+
+def _scan_stubs(scan: _ModuleScan) -> Dict[str, str]:
     stubs: Dict[str, str] = {}
     for record in scan.classes:
-        diags = _class_diags(record, filename, scan.lines)
+        diags = _class_diags(record, scan.filename, scan.lines)
         leaking = {d.line for d in diags
                    if d.code in ("NYX040", "NYX043", "NYX044")}
         attrs = [a for a in record.leaking_attrs()
@@ -563,14 +568,13 @@ def fixit_stubs(filename: str, text: str) -> Dict[str, str]:
     return stubs
 
 
-def tree_fixit_stubs(root: str) -> Dict[str, str]:
+def tree_fixit_stubs(root: Root) -> Dict[str, str]:
     """Fix-it stubs for every leaking class under ``root``, keyed
     ``<path>::<Class>``."""
     stubs: Dict[str, str] = {}
-    for path in _tree_files(root):
-        for cls, stub in sorted(fixit_stubs(
-                str(path), path.read_text(encoding="utf-8")).items()):
-            stubs["%s::%s" % (path, cls)] = stub
+    for scan in _tree_scans(root):
+        for cls, stub in sorted(_scan_stubs(scan).items()):
+            stubs["%s::%s" % (scan.filename, cls)] = stub
     return stubs
 
 
@@ -578,7 +582,7 @@ def tree_fixit_stubs(root: str) -> Dict[str, str]:
 # shared registry for the runtime sanitizer
 # ---------------------------------------------------------------------------
 
-def allowed_reset_attrs(root: str) -> Set[Tuple[str, str]]:
+def allowed_reset_attrs(root: Root) -> Set[Tuple[str, str]]:
     """``(class, attr)`` pairs suppressed with ``# nyx: allow[...]``.
 
     The runtime sanitizer skips exactly these when digesting the
@@ -586,10 +590,7 @@ def allowed_reset_attrs(root: str) -> Set[Tuple[str, str]]:
     one registry.  A class-line allow yields ``(Class, "*")``.
     """
     allowed: Set[Tuple[str, str]] = set()
-    for path in _tree_files(root):
-        scan = _ModuleScan(str(path), path.read_text(encoding="utf-8"))
-        if scan.parse_error is not None:
-            continue
+    for scan in _tree_scans(root):
         for record in scan.classes:
             if record.allow_tokens:
                 allowed.add((record.name, "*"))

@@ -23,10 +23,10 @@ Grandfathered or deliberately-exempt uses are suppressed inline with
 from __future__ import annotations
 
 import ast
-import pathlib
 from typing import List, Optional, Sequence
 
 from repro.analysis.diagnostics import Diagnostic, allow_tokens
+from repro.analysis.model import Module, Root, source_tree
 
 #: (object, attribute) call patterns that read the wall clock.
 WALL_CLOCK_ATTRS = {
@@ -149,27 +149,27 @@ class _Visitor(ast.NodeVisitor):
     visit_GeneratorExp = _check_comprehension
 
 
-def analyze_source(filename: str, text: str) -> List[Diagnostic]:
-    """Lint one module's source; returns diagnostics."""
-    try:
-        tree = ast.parse(text, filename=filename)
-    except SyntaxError as err:
-        return [Diagnostic("NYX024", "unparseable module: %s" % err,
-                           file=filename, line=err.lineno or 0)]
-    visitor = _Visitor(filename, text.splitlines())
-    visitor.visit(tree)
+def _module_diags(module: Module) -> List[Diagnostic]:
+    if module.tree is None:
+        return [module.parse_error("NYX024")]
+    visitor = _Visitor(module.filename, module.lines)
+    visitor.visit(module.tree)
     visitor.diags.sort(key=lambda d: (d.line or 0, d.code))
     return visitor.diags
 
 
-def analyze_source_tree(root: str) -> List[Diagnostic]:
+def analyze_source(filename: str, text: str) -> List[Diagnostic]:
+    """Lint one module's source; returns diagnostics."""
+    return _module_diags(Module(filename, text))
+
+
+def analyze_source_tree(root: Root) -> List[Diagnostic]:
     """Lint every ``.py`` file under ``root`` except ``sim/``."""
-    root_path = pathlib.Path(root)
+    tree = source_tree(root)
     diags: List[Diagnostic] = []
-    for path in sorted(root_path.rglob("*.py")):
-        rel = path.relative_to(root_path)
-        if EXEMPT_DIRS.intersection(rel.parts[:-1]):
+    for path in tree.paths():
+        if EXEMPT_DIRS.intersection(path.relative_to(tree.root).parts[:-1]):
             continue
-        text = path.read_text(encoding="utf-8")
-        diags.extend(analyze_source(str(path), text))
+        diags.extend(_module_diags(tree.module(path)))
+    tree.done()
     return diags

@@ -584,6 +584,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     import os
 
     from repro.analysis.diagnostics import Report
+    from repro.analysis.model import SourceTree
     from repro.spec.nodes import default_network_spec
     run_spec = args.spec
     self_root = args.self_root
@@ -608,6 +609,15 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
                          or perf_root):
         print("note: --fix only applies to --corpus, --reset, "
               "--durability and --perf", file=sys.stderr)
+    # One model per distinct root, shared by every family (and, with
+    # --fix, every stub generator) that reads it.
+    readers = [root for root in (self_root, reset_root, durability_root,
+                                 perf_root) if root]
+    if args.fix:
+        readers += [root for root in (reset_root, durability_root,
+                                      perf_root) if root]
+    trees = {root: SourceTree(root, readers.count(root))
+             for root in dict.fromkeys(readers)}
     spec = default_network_spec()
     report = Report()
     if run_spec:
@@ -616,33 +626,35 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         report.meta["spec"] = spec.name
     if self_root:
         from repro.analysis.selflint import analyze_source_tree
-        report.extend(analyze_source_tree(self_root))
+        report.extend(analyze_source_tree(trees[self_root]))
         report.meta["self_root"] = self_root
     if reset_root:
         from repro.analysis.resetlint import (analyze_reset_tree,
                                               tree_fixit_stubs)
-        report.extend(analyze_reset_tree(reset_root))
+        report.extend(analyze_reset_tree(trees[reset_root]))
         report.meta["reset_root"] = reset_root
         if args.fix:
-            for where, stub in sorted(tree_fixit_stubs(reset_root).items()):
+            for where, stub in sorted(
+                    tree_fixit_stubs(trees[reset_root]).items()):
                 print("--- fix-it for %s ---" % where)
                 print(stub)
     if durability_root:
         from repro.analysis.durlint import (analyze_durability_tree,
                                             durability_fixit_stubs)
-        report.extend(analyze_durability_tree(durability_root))
+        report.extend(analyze_durability_tree(trees[durability_root]))
         report.meta["durability_root"] = durability_root
         if args.fix:
             for where, stub in sorted(
-                    durability_fixit_stubs(durability_root).items()):
+                    durability_fixit_stubs(trees[durability_root]).items()):
                 print("--- fix-it for %s ---" % where)
                 print(stub)
     if perf_root:
         from repro.analysis.hotlint import analyze_hot_tree, hot_fixit_stubs
-        report.extend(analyze_hot_tree(perf_root))
+        report.extend(analyze_hot_tree(trees[perf_root]))
         report.meta["perf_root"] = perf_root
         if args.fix:
-            for where, stub in sorted(hot_fixit_stubs(perf_root).items()):
+            for where, stub in sorted(
+                    hot_fixit_stubs(trees[perf_root]).items()):
                 print("--- fix-it for %s ---" % where)
                 print(stub)
     if run_corpus:

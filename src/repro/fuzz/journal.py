@@ -57,6 +57,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.fuzz.persist import (_atomic_write_bytes, _atomic_write_text,
                                 _fsync_dir)
+from repro.fuzz.stats import stats_checksum
 
 #: Bumped on any incompatible change to the on-disk layout.
 MANIFEST_VERSION = 1
@@ -635,7 +636,6 @@ class DurableCampaign:
         its findings into ``verify_findings`` plus the host counters.
         """
         from repro.analysis.statediff import state_digest, verify_checkpoint
-        from repro.perf.macro import stats_checksum
         epoch, _ckpt_execs = self._verify_pending
         self._verify_pending = None
         if epoch not in self.checkpoints.epochs():
@@ -661,7 +661,6 @@ class DurableCampaign:
 
     def _finalize(self, stats) -> None:
         from repro.fuzz.persist import save_campaign
-        from repro.perf.macro import stats_checksum
         self.save_checkpoint("final")
         save_campaign(self.fuzzer, str(self.directory))
         checksum = stats_checksum(stats)
@@ -863,7 +862,6 @@ class DurableParallelCampaign:
 
     def _verify_now(self) -> None:
         from repro.analysis.statediff import state_digest, verify_checkpoint
-        from repro.perf.macro import stats_checksum
         epoch, _ckpt_execs = self._verify_pending
         self._verify_pending = None
         if epoch not in self.checkpoints.epochs():
@@ -890,7 +888,6 @@ class DurableParallelCampaign:
 
     def _finalize(self, aggregate) -> None:
         from repro.fuzz.persist import save_parallel_campaign
-        from repro.perf.macro import stats_checksum
         self.save_checkpoint("final")
         save_parallel_campaign(self.campaign, str(self.directory))
         checksum = stats_checksum(aggregate.merged)

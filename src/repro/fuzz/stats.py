@@ -12,6 +12,7 @@ since per-worker edge counts overlap and cannot simply be added).
 
 from __future__ import annotations
 
+import hashlib
 import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
@@ -288,6 +289,18 @@ class CampaignStats:
                         or merged.coverage_series[-1][1] != edges):
                     merged.coverage_series.append((t, edges))
         return merged
+
+
+def stats_checksum(stats: CampaignStats) -> str:
+    """sha1 over the canonical JSON of a campaign's full stats dict.
+
+    Identical sim behaviour => identical checksum; any change to exec
+    counts, coverage timestamps or crash times shows up here even when
+    the headline rates round to the same value.
+    """
+    payload = json.dumps(stats.as_dict(), sort_keys=True,
+                         separators=(",", ":"))
+    return hashlib.sha1(payload.encode("utf-8")).hexdigest()
 
 
 @dataclass

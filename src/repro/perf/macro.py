@@ -15,25 +15,12 @@ Results land in ``BENCH_fuzz.json`` (see docs/performance.md).
 
 from __future__ import annotations
 
-import hashlib
-import json
 import platform
 import sys
 from typing import Dict, Optional
 
+from repro.fuzz.stats import stats_checksum
 from repro.perf.timers import wall_now
-
-
-def stats_checksum(stats) -> str:
-    """sha1 over the canonical JSON of a campaign's full stats dict.
-
-    Identical sim behaviour => identical checksum; any change to exec
-    counts, coverage timestamps or crash times shows up here even when
-    the headline rates round to the same value.
-    """
-    payload = json.dumps(stats.as_dict(), sort_keys=True,
-                         separators=(",", ":"))
-    return hashlib.sha1(payload.encode("utf-8")).hexdigest()
 
 
 def run_macro(target: str = "lighttpd", seed: int = 1,

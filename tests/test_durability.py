@@ -643,6 +643,34 @@ class TestPersistSatellites:
             load_corpus(str(tmp_path))
 
 
+def test_durable_campaign_loads_no_analyzers(tmp_path):
+    """Hashing the final stats must not import the analysis or perf
+    packages.  Runs in a fresh interpreter so other tests' imports do
+    not mask a regression."""
+    script = "\n".join([
+        "import sys",
+        "from repro.fuzz.campaign import build_campaign_from_manifest",
+        "from repro.fuzz.journal import DurableCampaign, campaign_manifest",
+        "from repro.targets import PROFILES",
+        "manifest = campaign_manifest('single', 'lighttpd', policy='none',",
+        "    seed=1, time_budget=60.0, max_execs=20, checkpoint_every=10)",
+        "DurableCampaign(",
+        "    build_campaign_from_manifest(PROFILES['lighttpd'], manifest),",
+        "    sys.argv[1], checkpoint_every=10, manifest=manifest,",
+        "    journal_sync=False).run()",
+        "print(sorted(m for m in sys.modules",
+        "             if m.startswith(('repro.analysis', 'repro.perf'))))",
+    ])
+    result = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path / "campaign")],
+        cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+        env=dict(os.environ, PYTHONPATH="src"),
+        capture_output=True, text=True, timeout=240)
+    assert result.returncode == 0, result.stderr
+    assert (tmp_path / "campaign" / "final.json").exists()
+    assert result.stdout.splitlines()[-1] == "[]"
+
+
 # ----------------------------------------------------------------------
 # real-process chaos: kill -9, SIGTERM
 # ----------------------------------------------------------------------

@@ -298,6 +298,15 @@ class TestStateInventory:
         assert analyze_durability_tree(
             root, golden=str(tmp_path / "nope.json")) == []
 
+    def test_golden_lookup_ignores_the_working_directory(
+            self, tmp_path, monkeypatch):
+        """A tree is diffed only against its own golden, never against
+        the inventory of the checkout the lint happens to run from."""
+        monkeypatch.chdir(REPO_SRC.parents[1])
+        root = self._tree(tmp_path, ["a"])
+        assert not [d for d in analyze_durability_tree(root)
+                    if d.code == "NYX062"]
+
 
 def _manifest(seed, **overrides):
     base = dict(policy="aggressive", seed=seed, time_budget=60.0,
