@@ -43,11 +43,10 @@ import pathlib
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.analysis.diagnostics import Diagnostic, has_marker
-from repro.analysis.model import Module, Root, SourceTree, source_tree
-from repro.analysis.resetlint import (ClassRecord, _allow_tokens,
-                                      _default_expr, _is_direct_self_attr,
-                                      _MethodScan, _scan_class)
+from repro.analysis.diagnostics import Diagnostic, allow_tokens, has_marker
+from repro.analysis.model import (Module, Root, SourceTree, Walk, self_attr,
+                                  source_tree)
+from repro.analysis.resetlint import ClassRecord, _default_expr, _scan_class
 
 #: snapshot-method name -> its restore counterpart.
 STATE_PAIRS: Dict[str, str] = {
@@ -62,13 +61,9 @@ FAMILY_ALIAS = "NYX06x"
 #: grandparent (the checkout holding ``src/<package>``).
 GOLDEN_INVENTORY = pathlib.Path("tests") / "golden" / "state_inventory.json"
 
-def _ephemeral_marked(lines: Sequence[str], lineno: int) -> bool:
-    return has_marker(lines, lineno, "state[ephemeral]")
-
-
 def _suppressed(record: _DurClass, lines: Sequence[str], lineno: int,
                 code: str) -> bool:
-    tokens = _allow_tokens(lines, lineno) | record.allow_tokens
+    tokens = allow_tokens(lines, lineno) | record.allow_tokens
     return bool(tokens & {FAMILY_TOKEN, FAMILY_ALIAS, code})
 
 
@@ -76,57 +71,62 @@ def _suppressed(record: _DurClass, lines: Sequence[str], lineno: int,
 # per-class capture scan (layered on resetlint's registry)
 # ---------------------------------------------------------------------------
 
-def _self_reads(node: ast.AST, self_name: str) -> Set[str]:
-    """Every ``self.X`` attribute mentioned anywhere under ``node``."""
+def _self_reads(walk: Walk, pos: int, self_name: str) -> Set[str]:
+    """Every ``self.X`` attribute mentioned anywhere under
+    ``nodes[pos]``."""
     reads: Set[str] = set()
-    for inner in ast.walk(node):
-        direct = _is_direct_self_attr(inner, self_name)
+    for i in walk.positions(ast.Attribute, pos):
+        direct = self_attr(walk.nodes[i], self_name)
         if direct is not None:
             reads.add(direct)
     return reads
 
 
-def _str_keys(expr: ast.AST, names: Optional[Set[str]]):
-    """``(line, key)`` for ``name["key"]`` subscripts and
-    ``name.get("key")`` calls under ``expr``; ``names=None`` accepts
-    any receiver name."""
-    for node in ast.walk(expr):
-        if (isinstance(node, ast.Subscript)
-                and isinstance(node.value, ast.Name)
-                and (names is None or node.value.id in names)):
-            sl = node.slice
-            if isinstance(sl, ast.Constant) and isinstance(sl.value, str):
-                yield node.lineno, sl.value
-        elif (isinstance(node, ast.Call)
-              and isinstance(node.func, ast.Attribute)
-              and node.func.attr == "get"
-              and isinstance(node.func.value, ast.Name)
-              and (names is None or node.func.value.id in names)
-              and node.args
-              and isinstance(node.args[0], ast.Constant)
-              and isinstance(node.args[0].value, str)):
-            yield node.lineno, node.args[0].value
+def _str_keys(walk: Walk, pos: int) -> List[Tuple[int, str, str]]:
+    """``(line, key, name)`` of each ``name["key"]`` subscript and
+    ``name.get("key")`` call under ``nodes[pos]``, breadth-first (a
+    key's first line is the one reported)."""
+    keys = {}
+    for i in walk.positions((ast.Subscript, ast.Call), pos):
+        node = walk.nodes[i]
+        if isinstance(node, ast.Subscript):
+            name, key = node.value, node.slice
+        elif (isinstance(node.func, ast.Attribute)
+              and node.func.attr == "get" and node.args):
+            name, key = node.func.value, node.args[0]
+        else:
+            continue
+        if (isinstance(name, ast.Name) and isinstance(key, ast.Constant)
+                and isinstance(key.value, str)):
+            keys[i] = (node.lineno, key.value, name.id)
+    return [keys[i] for i in walk.breadth_first(list(keys))]
 
 
-def _nondet_line(expr: ast.AST) -> Optional[int]:
+def _is_nondet(node: ast.AST) -> bool:
+    """A set literal/comprehension or a ``set()``/``frozenset()``/
+    ``id()`` call."""
+    if isinstance(node, (ast.Set, ast.SetComp)):
+        return True
+    if isinstance(node, ast.Call):
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else (
+            func.attr if isinstance(func, ast.Attribute) else None)
+        return name in ("set", "frozenset", "id")
+    return False
+
+
+def _nondet_line(walk: Walk, pos: int) -> Optional[int]:
     """Line of the first non-deterministically-serializable construct
-    under ``expr`` (set literals/comps, ``set()``/``frozenset()``,
-    ``id()``), or ``None``.  A top-level ``sorted(...)`` normalizes its
-    argument, so the whole expression is clean."""
+    under ``nodes[pos]`` (breadth-first), or ``None``.  A
+    top-level ``sorted(...)`` normalizes its argument, so the whole
+    expression is clean."""
+    expr = walk.nodes[pos]
     if isinstance(expr, ast.Call):
         func = expr.func
         if isinstance(func, ast.Name) and func.id == "sorted":
             return None
-    for node in ast.walk(expr):
-        if isinstance(node, (ast.Set, ast.SetComp)):
-            return node.lineno
-        if isinstance(node, ast.Call):
-            func = node.func
-            name = func.id if isinstance(func, ast.Name) else (
-                func.attr if isinstance(func, ast.Attribute) else None)
-            if name in ("set", "frozenset", "id"):
-                return node.lineno
-    return None
+    node = walk.first(pos, _is_nondet)
+    return None if node is None else node.lineno
 
 
 @dataclass
@@ -141,13 +141,16 @@ class _DurClass:
     snapshot_reads: Set[str] = field(default_factory=set)
     #: attrs any restore method writes or mutates in place.
     restore_handled: Set[str] = field(default_factory=set)
-    #: key -> (line, value expr) from the snapshot dict literal(s);
-    #: ``None`` when no snapshot method returns a direct dict literal.
-    captured: Optional[Dict[str, Tuple[int, ast.AST]]] = None
+    #: key -> line from the snapshot dict literal(s); ``None`` when no
+    #: snapshot method returns a direct dict literal.
+    captured: Optional[Dict[str, int]] = None
     #: keys read off the restore method's state parameter.
     restored_keys: Dict[str, int] = field(default_factory=dict)
     #: keys read off *any* name inside restore (nested sub-dicts).
     consumed_keys: Set[str] = field(default_factory=set)
+    #: captured key -> line of its non-deterministically-serializable
+    #: leaf (NYX063).
+    nondet: Dict[str, int] = field(default_factory=dict)
     #: class-body ``STATE_FORMAT = <int>`` value.
     state_format: Optional[int] = None
 
@@ -161,52 +164,87 @@ class _DurClass:
         return "/".join(names) if names else "restore"
 
 
+def _state_format(stmt: ast.AST, current: Optional[int]) -> Optional[int]:
+    """The ``<int>`` of a ``STATE_FORMAT = <int>`` statement, else
+    ``current``."""
+    if (isinstance(stmt, ast.Assign)
+            and isinstance(stmt.value, ast.Constant)
+            and isinstance(stmt.value.value, int)
+            and any(isinstance(target, ast.Name)
+                    and target.id == "STATE_FORMAT"
+                    for target in stmt.targets)):
+        return stmt.value.value
+    return current
+
+
 def _scan_dur_class(module: Module, node: ast.ClassDef
                     ) -> Optional[_DurClass]:
     dur = _DurClass(record=_scan_class(module, node))
+    walk = module.walk
     restore_names = {v: k for k, v in STATE_PAIRS.items()}
+    #: captured key -> position of its value expression.
+    values: Dict[str, int] = {}
     for stmt in node.body:
-        if isinstance(stmt, ast.Assign):
-            for target in stmt.targets:
-                if (isinstance(target, ast.Name)
-                        and target.id == "STATE_FORMAT"
-                        and isinstance(stmt.value, ast.Constant)
-                        and isinstance(stmt.value.value, int)):
-                    dur.state_format = stmt.value.value
+        dur.state_format = _state_format(stmt, dur.state_format)
         if not isinstance(stmt, ast.FunctionDef):
             continue
         args = stmt.args.posonlyargs + stmt.args.args
         if not args:
             continue
         self_name = args[0].arg
+        pos = walk.position(stmt)
         if stmt.name in STATE_PAIRS:
             dur.snapshots[stmt.name] = stmt
-            dur.snapshot_reads |= _self_reads(stmt, self_name)
-            for inner in ast.walk(stmt):
-                if (isinstance(inner, ast.Return)
-                        and isinstance(inner.value, ast.Dict)):
-                    if dur.captured is None:
-                        dur.captured = {}
-                    for key, value in zip(inner.value.keys,
-                                          inner.value.values):
-                        if (isinstance(key, ast.Constant)
-                                and isinstance(key.value, str)):
-                            dur.captured.setdefault(
-                                key.value, (key.lineno, value))
+            dur.snapshot_reads |= _self_reads(walk, pos, self_name)
+            returns = walk.breadth_first(walk.positions(ast.Return, pos))
+            for ret in returns:
+                inner = walk.nodes[ret]
+                if not isinstance(inner.value, ast.Dict):
+                    continue
+                if dur.captured is None:
+                    dur.captured = {}
+                for key, value in zip(inner.value.keys, inner.value.values):
+                    if (isinstance(key, ast.Constant)
+                            and isinstance(key.value, str)
+                            and key.value not in dur.captured):
+                        dur.captured[key.value] = key.lineno
+                        values[key.value] = walk.position(value, ret)
         elif stmt.name in restore_names:
             dur.restores[stmt.name] = stmt
-            scan = _MethodScan(self_name)
-            for inner in stmt.body:
-                scan.visit(inner)
+            scan = walk.function(stmt, self_name)
             dur.restore_handled |= {name for _l, name, _v in scan.writes}
             dur.restore_handled |= {name for _l, name in scan.mutations}
-            state_param = {args[1].arg} if len(args) > 1 else set()
-            for line, key in _str_keys(stmt, state_param):
-                dur.restored_keys.setdefault(key, line)
-            dur.consumed_keys |= {k for _l, k in _str_keys(stmt, None)}
+            state_param = args[1].arg if len(args) > 1 else None
+            for line, key, name in _str_keys(walk, pos):
+                if name == state_param:
+                    dur.restored_keys.setdefault(key, line)
+                dur.consumed_keys.add(key)
     if not dur.snapshots and not dur.restores:
         return None
+    # NYX063: a set leaf in a captured value, or a captured ``self.X``
+    # whose ``__init__`` default builds one.
+    class_pos = walk.position(node)
+    for key, pos in values.items():
+        line = _nondet_line(walk, pos)
+        if line is None:
+            attr = dur.record.attrs.get(_captured_attr(dur, walk.nodes[pos]))
+            if (attr is not None and attr.init_value is not None
+                    and _nondet_line(walk, walk.position(
+                        attr.init_value, class_pos)) is not None):
+                line = walk.nodes[pos].lineno
+        if line is not None:
+            dur.nondet[key] = line
     return dur
+
+
+def _captured_attr(dur: _DurClass, value: ast.AST) -> Optional[str]:
+    """``X`` when a captured value is its snapshot method's ``self.X``."""
+    for stmt in dur.snapshots.values():
+        args = stmt.args.posonlyargs + stmt.args.args
+        direct = self_attr(value, args[0].arg)
+        if direct is not None:
+            return direct
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +267,7 @@ def _class_diags(dur: _DurClass, filename: str,
             if name in dur.snapshot_reads or name in dur.restore_handled:
                 continue
             anchor = attr.anchor_line or record.line
-            if _ephemeral_marked(lines, anchor):
+            if has_marker(lines, anchor, "state[ephemeral]"):
                 continue
             if _suppressed(dur, lines, anchor, "NYX060"):
                 continue
@@ -245,7 +283,7 @@ def _class_diags(dur: _DurClass, filename: str,
     if dur.captured is not None:
         if not dur.restores:
             for key in sorted(dur.captured):
-                line = dur.captured[key][0]
+                line = dur.captured[key]
                 if _suppressed(dur, lines, line, "NYX061"):
                     continue
                 diags.append(Diagnostic(
@@ -257,7 +295,7 @@ def _class_diags(dur: _DurClass, filename: str,
             for key in sorted(dur.captured):
                 if key in dur.consumed_keys:
                     continue
-                line = dur.captured[key][0]
+                line = dur.captured[key]
                 if _suppressed(dur, lines, line, "NYX061"):
                     continue
                 diags.append(Diagnostic(
@@ -283,32 +321,16 @@ def _class_diags(dur: _DurClass, filename: str,
             % (record.name, "/".join(sorted(dur.restores)), key, what),
             file=filename, line=line))
     # NYX063: non-deterministic serialization leaves.
-    if dur.captured is not None:
-        for key in sorted(dur.captured):
-            line, value = dur.captured[key]
-            bad_line = _nondet_line(value)
-            if bad_line is None:
-                direct = None
-                for stmt in dur.snapshots.values():
-                    args = stmt.args.posonlyargs + stmt.args.args
-                    direct = _is_direct_self_attr(value, args[0].arg)
-                    if direct is not None:
-                        break
-                if direct is not None:
-                    attr = record.attrs.get(direct)
-                    if (attr is not None and attr.init_value is not None
-                            and _nondet_line(attr.init_value) is not None):
-                        bad_line = value.lineno
-            if bad_line is None:
-                continue
-            if _suppressed(dur, lines, bad_line, "NYX063"):
-                continue
-            diags.append(Diagnostic(
-                "NYX063",
-                "%s snapshot key %r serializes a set (iteration order "
-                "varies across processes); capture sorted(...) instead"
-                % (record.name, key),
-                file=filename, line=bad_line, fixable=True))
+    for key in sorted(dur.nondet):
+        bad_line = dur.nondet[key]
+        if _suppressed(dur, lines, bad_line, "NYX063"):
+            continue
+        diags.append(Diagnostic(
+            "NYX063",
+            "%s snapshot key %r serializes a set (iteration order "
+            "varies across processes); capture sorted(...) instead"
+            % (record.name, key),
+            file=filename, line=bad_line, fixable=True))
     return diags
 
 
@@ -316,14 +338,14 @@ def _class_diags(dur: _DurClass, filename: str,
 # journal frame-kind registry audit (NYX064)
 # ---------------------------------------------------------------------------
 
-def _journal_appends(tree: ast.Module) -> List[Tuple[int, str]]:
+def _journal_appends(walk: Walk) -> List[Tuple[int, str]]:
     """``(line, kind)`` of every ``<journal>.append("kind", body, ...)``
-    call: an append with >= 2 args, a string-constant first arg and a
-    receiver chain naming a journal."""
-    appends: List[Tuple[int, str]] = []
-    for node in ast.walk(tree):
-        if not (isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
+    call, breadth-first: an append with >= 2 args, a string-constant
+    first arg and a receiver chain naming a journal."""
+    appends = {}
+    for pos in walk.positions(ast.Call):
+        node = walk.nodes[pos]
+        if not (isinstance(node.func, ast.Attribute)
                 and node.func.attr == "append"
                 and len(node.args) >= 2
                 and isinstance(node.args[0], ast.Constant)
@@ -337,8 +359,8 @@ def _journal_appends(tree: ast.Module) -> List[Tuple[int, str]]:
         if isinstance(receiver, ast.Name):
             chain.append(receiver.id)
         if any("journal" in part.lower() for part in chain):
-            appends.append((node.lineno, node.args[0].value))
-    return appends
+            appends[pos] = (node.lineno, node.args[0].value)
+    return [appends[pos] for pos in walk.breadth_first(list(appends))]
 
 
 def _frame_kind_registry(tree: ast.Module) -> Optional[Set[str]]:
@@ -381,18 +403,13 @@ class _ModuleScan:
         if tree is None:
             return
         for node in tree.body:
+            self.module_state_format = _state_format(
+                node, self.module_state_format)
             if isinstance(node, ast.ClassDef):
                 dur = _scan_dur_class(module, node)
                 if dur is not None:
                     self.classes.append(dur)
-            elif isinstance(node, ast.Assign):
-                for target in node.targets:
-                    if (isinstance(target, ast.Name)
-                            and target.id == "STATE_FORMAT"
-                            and isinstance(node.value, ast.Constant)
-                            and isinstance(node.value.value, int)):
-                        self.module_state_format = node.value.value
-        self.appends = _journal_appends(tree)
+        self.appends = _journal_appends(module.walk)
         self.frame_kinds = _frame_kind_registry(tree)
 
 
@@ -402,7 +419,7 @@ def _append_diags(scan: _ModuleScan,
     for line, kind in scan.appends:
         if handled is not None and kind in handled:
             continue
-        tokens = _allow_tokens(scan.lines, line)
+        tokens = allow_tokens(scan.lines, line)
         if tokens & {FAMILY_TOKEN, FAMILY_ALIAS, "NYX064"}:
             continue
         detail = ("is not registered in FRAME_KINDS" if handled is not None
@@ -415,6 +432,16 @@ def _append_diags(scan: _ModuleScan,
     return diags
 
 
+def _module_diags(scan: _ModuleScan,
+                  handled: Optional[Set[str]]) -> List[Diagnostic]:
+    if scan.parse_error is not None:
+        return [scan.parse_error]
+    diags: List[Diagnostic] = []
+    for dur in scan.classes:
+        diags.extend(_class_diags(dur, scan.filename, scan.lines))
+    return diags + _append_diags(scan, handled)
+
+
 def analyze_durability_source(filename: str, text: str,
                               handled_kinds: Optional[Set[str]] = None
                               ) -> List[Diagnostic]:
@@ -425,13 +452,8 @@ def analyze_durability_source(filename: str, text: str,
     used, and appends with no registry in sight are all flagged.
     """
     scan = _ModuleScan(Module(filename, text))
-    if scan.parse_error is not None:
-        return [scan.parse_error]
-    diags: List[Diagnostic] = []
-    for dur in scan.classes:
-        diags.extend(_class_diags(dur, filename, scan.lines))
-    handled = handled_kinds if handled_kinds is not None else scan.frame_kinds
-    diags.extend(_append_diags(scan, handled))
+    diags = _module_diags(scan, handled_kinds if handled_kinds is not None
+                          else scan.frame_kinds)
     diags.sort(key=lambda d: (d.line or 0, d.code))
     return diags
 
@@ -548,12 +570,7 @@ def analyze_durability_tree(root: Root,
             handled = (handled or set()) | scan.frame_kinds
     diags: List[Diagnostic] = []
     for scan in scans:
-        if scan.parse_error is not None:
-            diags.append(scan.parse_error)
-            continue
-        for dur in scan.classes:
-            diags.extend(_class_diags(dur, scan.filename, scan.lines))
-        diags.extend(_append_diags(scan, handled))
+        diags.extend(_module_diags(scan, handled))
     golden_data, golden_path = _load_golden(tree.root, golden)
     if golden_data is not None:
         diags.extend(_golden_diags(_inventory(tree, scans), golden_path,

@@ -55,8 +55,9 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.diagnostics import Diagnostic, allow_tokens
-from repro.analysis.model import Module, Root, source_tree
-from repro.analysis.resetlint import _scan_class
+from repro.analysis.model import (LOOPS, Module, Root, SourceTree, Walk,
+                                  source_tree)
+from repro.analysis.resetlint import _is_staticmethod, _scan_class
 
 #: Family tokens accepted by ``# nyx: allow[...]``.
 FAMILY_TOKEN = "hot"
@@ -84,8 +85,6 @@ class FuncRecord:
     class_name: Optional[str] = None
     class_line: int = 0
     class_has_bases: bool = False
-    #: ``self``-style receiver name for methods ('' for functions).
-    self_name: str = ""
     hot_root: bool = False
     #: Call sites: ``(lineno, kind, name)`` with kind one of
     #: ``bare`` / ``self`` / ``attr``.
@@ -94,32 +93,6 @@ class FuncRecord:
     @property
     def key(self) -> Tuple[str, str]:
         return (self.filename, self.qualname)
-
-
-class _CallScan(ast.NodeVisitor):
-    """Collect call sites of one function body (skipping nested defs)."""
-
-    def __init__(self, self_name: str) -> None:
-        self.self_name = self_name
-        self.calls: List[Tuple[int, str, str]] = []
-
-    def visit_FunctionDef(self, node) -> None:  # noqa: N802
-        pass  # nested scope: its calls are its own record's business
-
-    visit_AsyncFunctionDef = visit_FunctionDef
-    visit_Lambda = visit_FunctionDef
-
-    def visit_Call(self, node: ast.Call) -> None:  # noqa: N802
-        func = node.func
-        if isinstance(func, ast.Name):
-            self.calls.append((node.lineno, "bare", func.id))
-        elif isinstance(func, ast.Attribute):
-            if (self.self_name and isinstance(func.value, ast.Name)
-                    and func.value.id == self.self_name):
-                self.calls.append((node.lineno, "self", func.attr))
-            else:
-                self.calls.append((node.lineno, "attr", func.attr))
-        self.generic_visit(node)
 
 
 class ModuleIndex:
@@ -137,12 +110,14 @@ class ModuleIndex:
             "NYX075", "; hot-path reachability cannot be computed")
         #: lines whose def/class statement may carry a hot marker.
         self.def_lines: Set[int] = set()
-        #: lines carrying a genuine hot-marker *comment* (tokenized, so
-        #: docstrings discussing the marker do not count).
-        self.hot_marker_lines: Set[int] = source.hot_lines
+        #: lines carrying a genuine hot-marker *comment* (docstrings
+        #: discussing the marker do not count).
+        self.hot_marker_lines: Set[int] = set()
         tree = source.tree
         if tree is None:
             return
+        self.walk: Walk = source.walk
+        self.hot_marker_lines = self.walk.hot_lines
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 self._add_function(node, None)
@@ -166,26 +141,19 @@ class ModuleIndex:
                       class_has_bases: bool = False) -> None:
         self.def_lines.add(node.lineno)
         args = node.args.posonlyargs + node.args.args
-        is_static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
-                        for d in node.decorator_list)
         self_name = ""
-        if class_node is not None and args and not is_static:
+        if class_node is not None and args and not _is_staticmethod(node):
             self_name = args[0].arg
         qualname = (node.name if class_node is None
                     else "%s.%s" % (class_node.name, node.name))
-        record = FuncRecord(
+        self.functions.append(FuncRecord(
             filename=self.filename, module=self.module, qualname=qualname,
             name=node.name, node=node,
             class_name=class_node.name if class_node else None,
             class_line=class_node.lineno if class_node else 0,
             class_has_bases=class_has_bases,
-            self_name=self_name,
-            hot_root=class_hot or node.lineno in self.hot_marker_lines)
-        scan = _CallScan(self_name)
-        for inner in node.body:
-            scan.visit(inner)
-        record.calls = scan.calls
-        self.functions.append(record)
+            hot_root=class_hot or node.lineno in self.hot_marker_lines,
+            calls=self.walk.function(node, self_name).calls))
 
 
 def _module_name(path: pathlib.Path, root: pathlib.Path) -> str:
@@ -215,7 +183,6 @@ class HotGraph:
         self.functions: List[FuncRecord] = []
         for index in self.indexes:
             self.functions.extend(index.functions)
-        self.by_key = {f.key: f for f in self.functions}
         #: (filename, class, method) -> record
         self._methods: Dict[Tuple[str, str, str], FuncRecord] = {}
         #: (filename, name) -> module-level function record
@@ -278,37 +245,25 @@ class HotGraph:
 # rule detectors
 # ---------------------------------------------------------------------------
 
-def _body_walk(node: ast.AST) -> Iterable[ast.AST]:
-    """ast.walk that does not descend into nested function/class defs."""
-    stack = [node]
-    while stack:
-        current = stack.pop()
-        yield current
-        for child in ast.iter_child_nodes(current):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                  ast.ClassDef, ast.Lambda)):
-                continue
-            stack.append(child)
+def _body_walk(walk: Walk, node: ast.AST, types) -> List[ast.AST]:
+    """The ``types`` nodes under ``node`` (itself included) outside
+    nested function/class defs and lambdas, each node before its
+    children and later siblings before earlier ones: the order that
+    findings on one line and of one rule keep."""
+    ends = walk.ends
+    found = walk.positions(types, walk.position(node), nested=False)
+    found.sort(key=lambda pos: (-ends[pos], pos))
+    return [walk.nodes[pos] for pos in found]
 
 
-def _loops(func_node: ast.AST) -> List[ast.AST]:
-    return [n for n in _body_walk(func_node)
-            if isinstance(n, (ast.For, ast.While)) and n is not func_node]
-
-
-def _loop_bound_names(loop: ast.AST) -> Set[str]:
+def _loop_bound_names(walk: Walk, loop: ast.AST) -> Set[str]:
     """Names (re)bound anywhere inside the loop — loop-variant."""
-    bound: Set[str] = set()
-    for node in _body_walk(loop):
-        if isinstance(node, ast.Name) and isinstance(
-                node.ctx, (ast.Store, ast.Del)):
-            bound.add(node.id)
-    return bound
+    return {node.id for node in _body_walk(walk, loop, ast.Name)
+            if isinstance(node.ctx, (ast.Store, ast.Del))}
 
 
-def _is_innermost(loop: ast.AST) -> bool:
-    return not any(isinstance(n, (ast.For, ast.While))
-                   for n in _body_walk(loop) if n is not loop)
+def _is_innermost(walk: Walk, loop: ast.AST) -> bool:
+    return _body_walk(walk, loop, LOOPS) == [loop]
 
 
 def _attr_chain(node: ast.AST) -> Optional[List[str]]:
@@ -343,33 +298,39 @@ def _is_rng_draw(node: ast.AST) -> bool:
             and node.func.attr in RNG_DRAW_METHODS)
 
 
-def _contains_rng_draw(node: ast.AST) -> Optional[int]:
-    for inner in ast.walk(node):
-        if _is_rng_draw(inner):
-            return inner.lineno
-    return None
+def _contains_rng_draw(walk: Walk, node: ast.AST, start: int
+                       ) -> Optional[int]:
+    """Line of the first RNG draw under ``node`` (breadth-first), which
+    lies after position ``start``."""
+    draw = walk.first(walk.position(node, start), _is_rng_draw)
+    return None if draw is None else draw.lineno
+
+
+def _allowed(lines: Sequence[str], func: FuncRecord, lineno: int,
+             code: str) -> bool:
+    """Is ``code`` suppressed on ``lineno``, the ``def`` line or the
+    ``class`` line?"""
+    tokens = allow_tokens(lines, lineno)
+    tokens |= allow_tokens(lines, func.node.lineno)
+    if func.class_line:
+        tokens |= allow_tokens(lines, func.class_line)
+    return bool(tokens & {code, FAMILY_TOKEN, FAMILY_ALIAS})
 
 
 class _HotRules:
     """NYX070-074 detectors over one hot function."""
 
-    def __init__(self, func: FuncRecord, lines: Sequence[str]) -> None:
+    def __init__(self, func: FuncRecord, index: ModuleIndex) -> None:
         self.func = func
-        self.lines = lines
+        self.lines = index.lines
+        self.walk = index.walk
         self.diags: List[Diagnostic] = []
         #: NYX072 alias candidates: chain -> (line, count) for fix-its.
         self.alias_candidates: Dict[str, Tuple[int, int]] = {}
 
-    def _tokens(self, lineno: int) -> Set[str]:
-        tokens = allow_tokens(self.lines, lineno)
-        tokens |= allow_tokens(self.lines, self.func.node.lineno)
-        if self.func.class_line:
-            tokens |= allow_tokens(self.lines, self.func.class_line)
-        return tokens
-
     def _flag(self, code: str, lineno: int, message: str,
               fixable: bool = False) -> None:
-        if self._tokens(lineno) & {code, FAMILY_TOKEN, FAMILY_ALIAS}:
+        if _allowed(self.lines, self.func, lineno, code):
             return
         self.diags.append(Diagnostic(
             code, "%s: %s" % (self.func.qualname, message),
@@ -377,12 +338,13 @@ class _HotRules:
 
     def run(self) -> List[Diagnostic]:
         node = self.func.node
-        for loop in _loops(node):
-            bound = _loop_bound_names(loop)
+        walk = self.walk
+        for loop in _body_walk(walk, node, LOOPS):
+            bound = _loop_bound_names(walk, loop)
             self._alloc_rules(loop, bound)
             self._rng_append_rule(loop)
             self._attr_load_rule(loop, bound)
-            if _is_innermost(loop):
+            if _is_innermost(walk, loop):
                 self._indirection_rule(loop)
         self._rng_comprehension_rule(node)
         self._copy_rules(node)
@@ -392,9 +354,8 @@ class _HotRules:
     # -- NYX070 --------------------------------------------------------------
 
     def _alloc_rules(self, loop: ast.AST, bound: Set[str]) -> None:
-        for node in _body_walk(loop):
-            if node is loop:
-                continue
+        for node in _body_walk(self.walk, loop,
+                               (ast.AugAssign, ast.Call, ast.Assign)):
             if (isinstance(node, ast.AugAssign)
                     and isinstance(node.op, ast.Add)
                     and self._str_like(node.value)):
@@ -433,9 +394,8 @@ class _HotRules:
     # -- NYX071 --------------------------------------------------------------
 
     def _rng_append_rule(self, loop: ast.AST) -> None:
-        for node in _body_walk(loop):
-            if (isinstance(node, ast.Call)
-                    and isinstance(node.func, ast.Attribute)
+        for node in _body_walk(self.walk, loop, ast.Call):
+            if (isinstance(node.func, ast.Attribute)
                     and node.func.attr == "append"
                     and node.args and _is_rng_draw(node.args[0])):
                 self._flag("NYX071", node.lineno,
@@ -443,9 +403,8 @@ class _HotRules:
                            "rng.some_bytes(n) batches the draws")
 
     def _rng_comprehension_rule(self, func_node: ast.AST) -> None:
-        for node in _body_walk(func_node):
-            if not isinstance(node, ast.Call):
-                continue
+        start = self.walk.position(func_node)
+        for node in _body_walk(self.walk, func_node, ast.Call):
             func = node.func
             byte_bound = (isinstance(func, ast.Name)
                           and func.id in ("bytes", "bytearray"))
@@ -455,7 +414,7 @@ class _HotRules:
                 continue
             for arg in node.args:
                 if isinstance(arg, (ast.ListComp, ast.GeneratorExp)):
-                    line = _contains_rng_draw(arg.elt)
+                    line = _contains_rng_draw(self.walk, arg.elt, start)
                     if line is not None:
                         self._flag("NYX071", line,
                                    "one RNG draw per generated byte; "
@@ -467,9 +426,7 @@ class _HotRules:
     def _attr_load_rule(self, loop: ast.AST, bound: Set[str]) -> None:
         loads: Dict[str, List[int]] = {}
         stored: Set[str] = set()
-        for node in _body_walk(loop):
-            if not isinstance(node, ast.Attribute):
-                continue
+        for node in _body_walk(self.walk, loop, ast.Attribute):
             chain = _attr_chain(node)
             if chain is None:
                 continue
@@ -502,14 +459,14 @@ class _HotRules:
                        "'%s' is loaded %d times in one hot loop body; "
                        "bind a local alias before the loop"
                        % (dotted, total), fixable=True)
-            if not (self._tokens(line)
-                    & {"NYX072", FAMILY_TOKEN, FAMILY_ALIAS}):
+            if not _allowed(self.lines, self.func, line, "NYX072"):
                 self.alias_candidates.setdefault(dotted, (line, total))
 
     # -- NYX073 --------------------------------------------------------------
 
     def _copy_rules(self, func_node: ast.AST) -> None:
-        for node in _body_walk(func_node):
+        for node in _body_walk(self.walk, func_node,
+                               (ast.Subscript, ast.Call)):
             if (isinstance(node, ast.Subscript)
                     and isinstance(node.ctx, ast.Load)
                     and isinstance(node.slice, ast.Slice)
@@ -534,9 +491,8 @@ class _HotRules:
     # -- NYX074 --------------------------------------------------------------
 
     def _indirection_rule(self, loop: ast.AST) -> None:
-        for node in _body_walk(loop):
-            if node is loop:
-                continue
+        for node in _body_walk(self.walk, loop,
+                               (ast.Try, ast.GeneratorExp)):
             if isinstance(node, ast.Try):
                 self._flag("NYX074", node.lineno,
                            "try/except inside the innermost hot loop "
@@ -583,11 +539,7 @@ def _resolution_diags(index: ModuleIndex, graph: HotGraph
         for lineno, kind, name in func.calls:
             if kind != "self" or name in methods or name in attrs:
                 continue
-            tokens = allow_tokens(index.lines, lineno)
-            tokens |= allow_tokens(index.lines, func.node.lineno)
-            if func.class_line:
-                tokens |= allow_tokens(index.lines, func.class_line)
-            if tokens & {"NYX075", FAMILY_TOKEN, FAMILY_ALIAS}:
+            if _allowed(index.lines, func, lineno, "NYX075"):
                 continue
             diags.append(Diagnostic(
                 "NYX075",
@@ -612,7 +564,7 @@ def _analyze(graph: HotGraph) -> List[Diagnostic]:
         diags.extend(_resolution_diags(index, graph))
         for func in index.functions:
             if graph.is_hot(func):
-                diags.extend(_HotRules(func, index.lines).run())
+                diags.extend(_HotRules(func, index).run())
     diags.sort(key=lambda d: (d.file or "", d.line or 0, d.code))
     return diags
 
@@ -623,37 +575,41 @@ def analyze_hot_source(filename: str, text: str,
     return _analyze(HotGraph([ModuleIndex(Module(filename, text), module)]))
 
 
-def _tree_graph(root: Root) -> HotGraph:
-    tree = source_tree(root)
-    graph = HotGraph([ModuleIndex(tree.module(path),
-                                  _module_name(path, tree.root))
-                      for path in tree.paths()])
-    tree.done()
-    return graph
+def _tree_graph(tree: SourceTree) -> HotGraph:
+    return HotGraph([ModuleIndex(tree.module(path),
+                                 _module_name(path, tree.root))
+                     for path in tree.paths()])
 
 
 def analyze_hot_tree(root: Root) -> List[Diagnostic]:
     """Hot-path lint of every module under ``root`` with cross-module
     call-edge resolution."""
-    return _analyze(_tree_graph(root))
+    tree = source_tree(root)
+    diags = _analyze(_tree_graph(tree))
+    tree.done()
+    return diags
 
 
 def hot_sites(root: Root) -> Dict[str, Set[str]]:
     """``{module: {qualnames}}`` of hot-reachable functions under
     ``root`` — the static coverage map the profiler's NYX077 check
     compares runtime cost ranks against."""
-    return _tree_graph(root).hot_sites()
+    tree = source_tree(root)
+    sites = _tree_graph(tree).hot_sites()
+    tree.done()
+    return sites
 
 
 def hot_fixit_stubs(root: Root) -> Dict[str, str]:
     """NYX072 local-alias stubs, keyed ``<path>::<qualname>``."""
     stubs: Dict[str, str] = {}
-    graph = _tree_graph(root)
+    tree = source_tree(root)
+    graph = _tree_graph(tree)
     for index in graph.indexes:
         for func in index.functions:
             if not graph.is_hot(func):
                 continue
-            rules = _HotRules(func, index.lines)
+            rules = _HotRules(func, index)
             rules.run()
             if not rules.alias_candidates:
                 continue
@@ -667,4 +623,5 @@ def hot_fixit_stubs(root: Root) -> Dict[str, str]:
                              % (alias, dotted, line, count))
             stubs["%s::%s" % (index.filename, func.qualname)] = (
                 "\n".join(lines) + "\n")
+    tree.done()
     return stubs

@@ -11,9 +11,9 @@ mutate per-exec must be re-initialised by a reset method on the
 executor's reset path, or coverage feedback silently corrupts the way
 SnapFuzz/StateAFL describe.
 
-This pass walks the AST of ``vm/``, ``guestos/``, ``emu/`` and
-``faults/`` and builds a registry of mutable state, classifying each
-record as *covered* or *leaking*:
+This pass reads the shared walk (:mod:`.model`) of ``vm/``,
+``guestos/``, ``emu/`` and ``faults/`` and builds a registry of mutable
+state, classifying each record as *covered* or *leaking*:
 
 * **covered** — the attribute is (re)assigned in a reset-family method
   (name starts with ``reset``/``restore``/``reload``, or is the device
@@ -48,7 +48,8 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.diagnostics import Diagnostic, allow_tokens, has_marker
-from repro.analysis.model import Module, Root, source_tree
+from repro.analysis.model import (MUTATING_METHODS, Module, Root, Walk,
+                                  source_tree)
 
 #: Packages (relative to the scanned root) that hold snapshot-covered
 #: machinery and its host-side drivers.
@@ -59,27 +60,12 @@ RESET_PREFIXES = ("reset", "restore", "reload")
 RESET_NAMES = {"load_fields"}
 #: Snapshot-restore hook names (NYX044).
 RESTORE_HOOKS = {"on_root_restore", "on_incremental_restore"}
-#: Container method calls that mutate the receiver in place.
-MUTATING_METHODS = {
-    "append", "appendleft", "add", "clear", "discard", "extend",
-    "extendleft", "insert", "pop", "popleft", "popitem", "remove",
-    "setdefault", "sort", "update",
-}
 #: Constructor names whose result is a mutable container.
 MUTABLE_CONSTRUCTORS = {"dict", "list", "set", "bytearray", "deque",
                         "defaultdict", "OrderedDict", "Counter"}
 
 #: Family token accepted by ``# nyx: allow[...]`` alongside rule codes.
 FAMILY_TOKEN = "reset"
-
-# Annotation parsing lives in diagnostics (shared by every source
-# lint); these aliases keep this module's historical import surface —
-# durlint and the fix-it machinery import them from here.
-_allow_tokens = allow_tokens
-
-
-def _memory_marked(lines: Sequence[str], lineno: int) -> bool:
-    return has_marker(lines, lineno, "state[memory]")
 
 
 def _is_reset_family(name: str) -> bool:
@@ -109,31 +95,6 @@ def _is_mutable_value(expr: ast.AST) -> bool:
             func.attr if isinstance(func, ast.Attribute) else None)
         return name in MUTABLE_CONSTRUCTORS
     return False
-
-
-def _self_attr_base(expr: ast.AST, self_name: str) -> Optional[str]:
-    """Container attribute of a subscript-only ``self.X[...]...``
-    chain, else ``None``.
-
-    ``self.conns[k]`` and ``self.grid[i][j]`` root at ``conns`` /
-    ``grid`` — mutating the subscript mutates the container bound to
-    ``self``.  ``self.kernel.field`` does **not** root at ``kernel``:
-    that mutates the *other* object, which carries its own class audit
-    (attribute hops cross an ownership boundary, subscripts don't).
-    """
-    node = expr
-    while isinstance(node, ast.Subscript):
-        node = node.value
-    direct = _is_direct_self_attr(node, self_name)
-    return direct if node is not expr else None
-
-
-def _is_direct_self_attr(expr: ast.AST, self_name: str) -> Optional[str]:
-    if (isinstance(expr, ast.Attribute)
-            and isinstance(expr.value, ast.Name)
-            and expr.value.id == self_name):
-        return expr.attr
-    return None
 
 
 @dataclass
@@ -181,75 +142,15 @@ class ClassRecord:
                 if self.attrs[n].mutations and not self.attrs[n].reset]
 
 
-class _MethodScan(ast.NodeVisitor):
-    """Collect self-attribute writes and in-place mutations."""
-
-    def __init__(self, self_name: str) -> None:
-        self.self_name = self_name
-        #: ``(line, attr)`` direct rebinding: ``self.x = ...``
-        self.writes: List[Tuple[int, str, ast.AST]] = []
-        #: ``(line, attr)`` in-place change: ``self.x[k] = / .append()``
-        self.mutations: List[Tuple[int, str]] = []
-
-    def _target(self, target: ast.AST, value: ast.AST) -> None:
-        direct = _is_direct_self_attr(target, self.self_name)
-        if direct is not None:
-            self.writes.append((target.lineno, direct, value))
-            return
-        if isinstance(target, (ast.Tuple, ast.List)):
-            for elt in target.elts:
-                self._target(elt, value)
-            return
-        base = _self_attr_base(target, self.self_name)
-        if base is not None:
-            self.mutations.append((target.lineno, base))
-
-    def visit_Assign(self, node: ast.Assign) -> None:
-        for target in node.targets:
-            self._target(target, node.value)
-        self.generic_visit(node)
-
-    def visit_AnnAssign(self, node: ast.AnnAssign) -> None:
-        if node.value is not None:
-            self._target(node.target, node.value)
-        self.generic_visit(node)
-
-    def _mutated(self, expr: ast.AST) -> Optional[str]:
-        direct = _is_direct_self_attr(expr, self.self_name)
-        if direct is not None:
-            return direct
-        return _self_attr_base(expr, self.self_name)
-
-    def visit_AugAssign(self, node: ast.AugAssign) -> None:
-        base = self._mutated(node.target)
-        if base is not None:
-            self.mutations.append((node.target.lineno, base))
-        self.generic_visit(node)
-
-    def visit_Delete(self, node: ast.Delete) -> None:
-        for target in node.targets:
-            base = self._mutated(target)
-            if base is not None:
-                self.mutations.append((target.lineno, base))
-        self.generic_visit(node)
-
-    def visit_Call(self, node: ast.Call) -> None:
-        func = node.func
-        if isinstance(func, ast.Attribute) and func.attr in MUTATING_METHODS:
-            base = self._mutated(func.value)
-            if base is not None:
-                self.mutations.append((node.lineno, base))
-        self.generic_visit(node)
-
-
 def _scan_class(module: Module, node: ast.ClassDef) -> ClassRecord:
     """The class's registry, built once and kept on its module."""
     if node in module.classes:
         return module.classes[node]
     lines = module.lines
     record = ClassRecord(node.name, node.lineno,
-                         memory_marked=_memory_marked(lines, node.lineno),
-                         allow_tokens=_allow_tokens(lines, node.lineno))
+                         memory_marked=has_marker(lines, node.lineno,
+                                                  "state[memory]"),
+                         allow_tokens=allow_tokens(lines, node.lineno))
     for stmt in node.body:
         if isinstance(stmt, ast.Assign):
             for target in stmt.targets:
@@ -270,9 +171,7 @@ def _scan_class(module: Module, node: ast.ClassDef) -> ClassRecord:
             args = stmt.args.posonlyargs + stmt.args.args
             if not args or _is_staticmethod(stmt):
                 continue  # staticmethod: no instance state access
-            scan = _MethodScan(args[0].arg)
-            for inner in stmt.body:
-                scan.visit(inner)
+            scan = module.walk.function(stmt, args[0].arg)
             if stmt.name in RESTORE_HOOKS:
                 record.restore_hooks.append(stmt.name)
             if stmt.name == "__init__":
@@ -299,6 +198,14 @@ def _scan_class(module: Module, node: ast.ClassDef) -> ClassRecord:
         attr.mutations.sort()
     module.classes[node] = record
     return record
+
+
+#: What the module-global mutation scan reads: mutation events and the
+#: function scopes that may shadow the module's names.
+_GLOBAL_EVENTS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Assign,
+                  ast.AugAssign, ast.Call)
+#: Statements that bind names in a function scope.
+_BINDINGS = (ast.Global, ast.Assign, ast.AnnAssign, ast.AugAssign, ast.For)
 
 
 class _ModuleScan:
@@ -332,29 +239,33 @@ class _ModuleScan:
                         and _is_mutable_value(node.value)):
                     self.globals[node.target.id] = node.lineno
         if self.globals:
-            self._find_global_mutations(tree)
+            self._find_global_mutations(module.walk)
 
-    def _find_global_mutations(self, tree: ast.Module) -> None:
+    def _find_global_mutations(self, walk: Walk) -> None:
         tracked = set(self.globals)
-
-        def visit(node: ast.AST, shadowed: Set[str]) -> None:
+        #: ``(end, names)`` of the enclosing function scopes: a name a
+        #: function binds hides the module's in its whole subtree.
+        scopes: List[Tuple[int, Set[str]]] = [(len(walk.nodes), set())]
+        for pos in walk.positions(_GLOBAL_EVENTS):
+            while pos >= scopes[-1][0]:
+                scopes.pop()
+            shadowed = scopes[-1][1]
+            node = walk.nodes[pos]
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                shadowed = shadowed | _locally_bound(node)
+                scopes.append((walk.ends[pos],
+                               shadowed | _locally_bound(walk, pos)))
+                continue
             for line, name in _name_mutations(node, tracked - shadowed):
                 self.global_mutations.append((line, name))
-            for child in ast.iter_child_nodes(node):
-                visit(child, shadowed)
-
-        for stmt in tree.body:
-            visit(stmt, set())
         self.global_mutations.sort()
 
 
-def _locally_bound(node) -> Set[str]:
+def _locally_bound(walk: Walk, pos: int) -> Set[str]:
     """Names a function scope binds (params, assignments, loop
     targets) and therefore hides from the module scope — unless
     declared ``global``."""
     bound: Set[str] = set()
+    node = walk.nodes[pos]
     arg_nodes = (node.args.posonlyargs + node.args.args
                  + node.args.kwonlyargs)
     bound.update(a.arg for a in arg_nodes)
@@ -376,7 +287,8 @@ def _locally_bound(node) -> Set[str]:
             for elt in target.elts:
                 yield from binding_names(elt)
 
-    for inner in ast.walk(node):
+    for inner_pos in walk.positions(_BINDINGS, pos):
+        inner = walk.nodes[inner_pos]
         if isinstance(inner, ast.Global):
             declared_global.update(inner.names)
         elif isinstance(inner, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
@@ -420,7 +332,7 @@ def _name_mutations(node: ast.AST, names: Set[str]):
 
 def _suppressed(record: ClassRecord, lines: Sequence[str], lineno: int,
                 code: str) -> bool:
-    tokens = _allow_tokens(lines, lineno) | record.allow_tokens
+    tokens = allow_tokens(lines, lineno) | record.allow_tokens
     return FAMILY_TOKEN in tokens or code in tokens
 
 
@@ -483,8 +395,8 @@ def _module_diags(scan: _ModuleScan) -> List[Diagnostic]:
         line = scan.globals[name]
         if name.isupper() and name not in mutated_globals:
             continue  # unmutated ALL_CAPS container: a constant
-        if FAMILY_TOKEN in _allow_tokens(scan.lines, line) \
-                or "NYX041" in _allow_tokens(scan.lines, line):
+        if FAMILY_TOKEN in allow_tokens(scan.lines, line) \
+                or "NYX041" in allow_tokens(scan.lines, line):
             continue
         detail = ("mutated at line %d"
                   % min(l for l, n in scan.global_mutations if n == name)
@@ -596,6 +508,6 @@ def allowed_reset_attrs(root: Root) -> Set[Tuple[str, str]]:
                 allowed.add((record.name, "*"))
             for attr in record.attrs.values():
                 anchor = attr.anchor_line
-                if anchor and _allow_tokens(scan.lines, anchor):
+                if anchor and allow_tokens(scan.lines, anchor):
                     allowed.add((record.name, attr.name))
     return allowed

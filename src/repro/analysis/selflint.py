@@ -11,10 +11,10 @@ and one stray import can break:
   the exact fault stream, which dies the moment wall-clock time or OS
   entropy leaks into a decision.
 
-This pass walks the AST of every module outside ``sim/`` (the one
-place allowed to wrap host randomness) and flags wall-clock access
-(NYX020), ``random``/``secrets`` (NYX021), OS entropy (NYX022) and
-iteration over unordered sets (NYX023).
+This pass reads the shared walk (:mod:`.model`) of every module
+outside ``sim/`` (the one place allowed to wrap host randomness) and
+flags wall-clock access (NYX020), ``random``/``secrets`` (NYX021), OS
+entropy (NYX022) and iteration over unordered sets (NYX023).
 
 Grandfathered or deliberately-exempt uses are suppressed inline with
 ``# nyx: allow[NYX021]`` on the offending line.
@@ -23,7 +23,7 @@ Grandfathered or deliberately-exempt uses are suppressed inline with
 from __future__ import annotations
 
 import ast
-from typing import List, Optional, Sequence
+from typing import Iterator, List, Tuple
 
 from repro.analysis.diagnostics import Diagnostic, allow_tokens
 from repro.analysis.model import Module, Root, source_tree
@@ -48,10 +48,6 @@ FORBIDDEN_MODULES = {"random": "NYX021", "secrets": "NYX022"}
 #: Directories (relative to the scanned root) exempt from the lint.
 EXEMPT_DIRS = {"sim", "__pycache__"}
 
-def _suppressed(lines: Sequence[str], lineno: int, code: str) -> bool:
-    return code in allow_tokens(lines, lineno)
-
-
 def _is_unordered(expr: ast.AST) -> bool:
     """Does this expression evaluate to a bare (unordered) set?"""
     if isinstance(expr, (ast.Set, ast.SetComp)):
@@ -65,97 +61,68 @@ def _is_unordered(expr: ast.AST) -> bool:
     return False
 
 
-class _Visitor(ast.NodeVisitor):
-    def __init__(self, filename: str, lines: Sequence[str]) -> None:
-        self.filename = filename
-        self.lines = lines
-        self.diags: List[Diagnostic] = []
+#: Node types the lint audits.
+_AUDITED = (ast.Import, ast.ImportFrom, ast.Call, ast.For, ast.ListComp,
+            ast.SetComp, ast.DictComp, ast.GeneratorExp)
 
-    def _flag(self, code: str, node: ast.AST, message: str) -> None:
-        lineno = getattr(node, "lineno", 0)
-        if _suppressed(self.lines, lineno, code):
-            return
-        self.diags.append(Diagnostic(code, message, file=self.filename,
-                                     line=lineno))
 
-    # -- imports -----------------------------------------------------------
-
-    def visit_Import(self, node: ast.Import) -> None:
+def _findings(node: ast.AST) -> Iterator[Tuple[str, str]]:
+    """``(code, message)`` of each finding on one audited node."""
+    if isinstance(node, ast.Import):
         for alias in node.names:
             top = alias.name.split(".")[0]
             if top in FORBIDDEN_MODULES:
-                self._flag(FORBIDDEN_MODULES[top], node,
-                           "import of %r" % alias.name)
-        self.generic_visit(node)
-
-    def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
+                yield FORBIDDEN_MODULES[top], "import of %r" % alias.name
+    elif isinstance(node, ast.ImportFrom):
         top = (node.module or "").split(".")[0]
+        names = [alias.name for alias in node.names]
         if top in FORBIDDEN_MODULES:
-            self._flag(FORBIDDEN_MODULES[top], node,
-                       "import from %r" % node.module)
+            yield FORBIDDEN_MODULES[top], "import from %r" % node.module
         elif top == "time":
-            for alias in node.names:
-                if alias.name in WALL_CLOCK_NAMES or alias.name == "*":
-                    self._flag("NYX020", node,
-                               "from time import %s" % alias.name)
+            for name in names:
+                if name in WALL_CLOCK_NAMES or name == "*":
+                    yield "NYX020", "from time import %s" % name
         elif top == "os":
-            for alias in node.names:
-                if alias.name == "urandom":
-                    self._flag("NYX022", node, "from os import urandom")
+            for name in names:
+                if name == "urandom":
+                    yield "NYX022", "from os import urandom"
         elif top == "uuid":
-            for alias in node.names:
-                if alias.name in ("uuid1", "uuid4"):
-                    self._flag("NYX022", node,
-                               "from uuid import %s" % alias.name)
-        self.generic_visit(node)
-
-    # -- calls -------------------------------------------------------------
-
-    def visit_Call(self, node: ast.Call) -> None:
+            for name in names:
+                if name in ("uuid1", "uuid4"):
+                    yield "NYX022", "from uuid import %s" % name
+    elif isinstance(node, ast.Call):
         func = node.func
         if isinstance(func, ast.Attribute):
-            base: Optional[str] = None
-            if isinstance(func.value, ast.Name):
-                base = func.value.id
-            elif isinstance(func.value, ast.Attribute):
-                base = func.value.attr
-            if base is not None:
-                key = (base, func.attr)
-                if key in WALL_CLOCK_ATTRS:
-                    self._flag("NYX020", node,
-                               "call to %s.%s()" % key)
-                elif key in ENTROPY_ATTRS:
-                    self._flag("NYX022", node,
-                               "call to %s.%s()" % key)
-        self.generic_visit(node)
-
-    # -- unordered iteration -----------------------------------------------
-
-    def visit_For(self, node: ast.For) -> None:
+            base = (func.value.id if isinstance(func.value, ast.Name)
+                    else func.value.attr
+                    if isinstance(func.value, ast.Attribute) else None)
+            if (base, func.attr) in WALL_CLOCK_ATTRS:
+                yield "NYX020", "call to %s.%s()" % (base, func.attr)
+            elif (base, func.attr) in ENTROPY_ATTRS:
+                yield "NYX022", "call to %s.%s()" % (base, func.attr)
+    elif isinstance(node, ast.For):
         if _is_unordered(node.iter):
-            self._flag("NYX023", node, "for-loop over an unordered set")
-        self.generic_visit(node)
-
-    def _check_comprehension(self, node) -> None:
+            yield "NYX023", "for-loop over an unordered set"
+    else:
         for gen in node.generators:
             if _is_unordered(gen.iter):
-                self._flag("NYX023", node,
-                           "comprehension over an unordered set")
-        self.generic_visit(node)
-
-    visit_ListComp = _check_comprehension
-    visit_SetComp = _check_comprehension
-    visit_DictComp = _check_comprehension
-    visit_GeneratorExp = _check_comprehension
+                yield "NYX023", "comprehension over an unordered set"
 
 
 def _module_diags(module: Module) -> List[Diagnostic]:
     if module.tree is None:
         return [module.parse_error("NYX024")]
-    visitor = _Visitor(module.filename, module.lines)
-    visitor.visit(module.tree)
-    visitor.diags.sort(key=lambda d: (d.line or 0, d.code))
-    return visitor.diags
+    diags: List[Diagnostic] = []
+    walk = module.walk
+    for pos in walk.positions(_AUDITED):
+        node = walk.nodes[pos]
+        lineno = getattr(node, "lineno", 0)
+        for code, message in _findings(node):
+            if code not in allow_tokens(module.lines, lineno):
+                diags.append(Diagnostic(code, message,
+                                        file=module.filename, line=lineno))
+    diags.sort(key=lambda d: (d.line or 0, d.code))
+    return diags
 
 
 def analyze_source(filename: str, text: str) -> List[Diagnostic]:

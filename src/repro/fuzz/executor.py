@@ -29,11 +29,16 @@ tracer for work a previous execution already recorded:
   the recorded prefix fold instead — the combined trace is
   byte-identical to a fully-traced run (pinned by the differential
   and property suites);
-* suffix runs elide the unmutated sub-prefix after the snapshot point
-  the same way, against the snapshot-capture run's recording held in
-  :class:`_SuffixState` — so the fold is cached once per snapshot
-  generation and replaced with the snapshot (placement moves and
-  ``finish_snapshot_cycle`` drop it with the state);
+* suffix runs from a node placed by a ``snapshot`` marker op elide the
+  unmutated sub-prefix after the snapshot point the same way, against
+  the snapshot-capture run's recording held in :class:`_SuffixState`
+  — so the fold is cached once per snapshot generation and replaced
+  with the snapshot (placement moves and ``finish_snapshot_cycle``
+  drop it with the state).  Suffix runs from a *policy-placed* node
+  never elide: the capture charged the sim clock at the chain's first
+  point, so the recording's ``charge_index`` is at or before the
+  node's resume index and :meth:`NyxExecutor._plan_elision` finds
+  nothing to replay;
 * recordings are invalidated wholesale whenever snapshot state is in
   doubt — a corrupted restore (heal/rebuild) or degradation to
   root-only — and elision disarms entirely while a fault injector is
@@ -129,10 +134,13 @@ class _SuffixState:
     #: the chain from the root if a restore finds it corrupted.
     base_input: Optional[FuzzInput] = None
     #: The capture run's trace recording: the per-snapshot-generation
-    #: fold cache that suffix runs elide their unmutated sub-prefix
-    #: against.  Lives and dies with this state, so placement moves and
-    #: rebuilds can never serve a stale fold (None after an untraced
-    #: rebuild replay: elision simply stays off until the next capture).
+    #: fold cache that suffix runs from a marker-op node elide their
+    #: unmutated sub-prefix against.  For a policy-placed node its
+    #: ``charge_index`` is at or before ``resume_index``, so suffix runs
+    #: from it elide nothing and are traced in full.  Lives and dies
+    #: with this state, so placement moves and rebuilds can never serve
+    #: a stale fold (None after an untraced rebuild replay: elision
+    #: simply stays off until the next capture).
     capture_rec: Optional[TraceRecording] = None
 
 

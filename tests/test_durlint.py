@@ -143,6 +143,26 @@ class TestDurLint:
         assert len(found) == 1 and "'seen'" in found[0].message
         assert found[0].fixable
 
+    def test_nyx063_names_the_breadth_first_set_leaf(self):
+        # Two set constructs on two lines: the finding names the one a
+        # breadth-first walk of the value meets first (``set()``, one
+        # level up), not the first in source order (``{1}``).
+        src = ("class Tracker:\n"
+               "    def __init__(self):\n"
+               "        self.count = 0\n"
+               "\n"
+               "    def snapshot_state(self):\n"
+               "        return {\"count\": self.count,\n"
+               "                \"seen\": merge(wrap({1}),\n"
+               "                              set())}\n"
+               "\n"
+               "    def restore_state(self, state):\n"
+               "        self.count = state[\"count\"]\n"
+               "        self.seen = state[\"seen\"]\n")
+        found = lint(src)
+        assert [(d.code, d.line) for d in found] == [("NYX063", 8)]
+        assert "'seen'" in found[0].message
+
     def test_sorted_capture_is_clean(self):
         fixed = FIXTURE.replace('"seen": self.seen,',
                                 '"seen": sorted(self.seen),')

@@ -121,6 +121,20 @@ class TestHotLint:
         assert len(found) == 2
         assert all("some_bytes" in d.message for d in found)
 
+    def test_rng_comprehension_names_the_breadth_first_draw(self):
+        # Two draws on two lines of one generated byte: the finding
+        # names the draw a breadth-first walk meets first (``randint``,
+        # one level up), not the first in source order.
+        src = ("class Engine:\n"
+               "    def __init__(self, rng):\n"
+               "        self.rng = rng\n"
+               "\n"
+               "    def pad(self, n):  # nyx: hot\n"
+               "        return bytes(mix(wrap(self.rng.randrange(256)),\n"
+               "                         self.rng.randint(0, 255))\n"
+               "                     for _ in range(n))\n")
+        assert [(d.code, d.line) for d in lint(src)] == [("NYX071", 7)]
+
     def test_repeated_attribute_load_is_fixable(self):
         found = [d for d in lint(FIXTURE) if d.code == "NYX072"]
         assert len(found) == 1

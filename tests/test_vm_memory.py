@@ -157,7 +157,9 @@ class TestReadFastPath:
     @given(st.integers(0, 3 * PAGE_SIZE - 1), st.integers(0, PAGE_SIZE + 17))
     @settings(max_examples=60)
     def test_fast_path_agrees_with_bytewise_reads(self, addr, length):
-        mem = GuestMemory(4 * PAGE_SIZE)
+        # Five pages, so every generated read (up to 4 * PAGE_SIZE + 16)
+        # stays inside guest memory.
+        mem = GuestMemory(5 * PAGE_SIZE)
         pattern = bytes((i * 31 + 7) & 0xFF for i in range(PAGE_SIZE))
         mem.write(0, pattern)            # page 0 sealed (whole-page)
         mem.write(PAGE_SIZE + 3, b"mid")  # page 1 unsealed
