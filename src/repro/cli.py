@@ -96,12 +96,7 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
     if injector is not None:
         print("fault injection armed: plan %s" % injector.plan.plan_id)
     stats = handles.fuzzer.run_campaign()
-    print(stats.summary())
-    _print_robustness(stats)
-    for bug in handles.fuzzer.crashes.unique_bugs:
-        record = handles.fuzzer.crashes.records[bug]
-        print("  CRASH %-40s t=%.2fs x%d" % (bug, record.found_at,
-                                             record.count))
+    _print_single(stats, handles.fuzzer)
     if args.distill:
         from repro.fuzz.trim import distill_corpus
         inputs = [e.input for e in handles.fuzzer.corpus.entries]
@@ -113,14 +108,7 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
     if args.out:
         written = save_campaign(handles.fuzzer, args.out)
         print("saved %d files to %s" % (written, args.out))
-    if stats.sanitizer_checks:
-        print("reset sanitizer: %d checks, %d leaks"
-              % (stats.sanitizer_checks, stats.sanitizer_leaks))
-        for diag in handles.fuzzer.sanitizer_findings:
-            print("  %s" % diag.format())
-        if stats.sanitizer_leaks:
-            return 1
-    return 0
+    return _print_sanitizer(stats, handles.fuzzer)
 
 
 def _fuzz_parallel(args: argparse.Namespace, profile) -> int:
@@ -146,20 +134,18 @@ def _fuzz_parallel(args: argparse.Namespace, profile) -> int:
           "(sim budget %.0fs, cap %s execs)"
           % (args.target, args.workers, args.policy, args.time, args.execs))
     aggregate = campaign.run()
-    print(aggregate.summary())
-    _print_robustness(aggregate.merged)
-    retired = campaign.retired_workers()
-    if retired:
-        print("retired workers: %s" % ", ".join(map(str, retired)))
-    footprint = campaign.unique_page_footprint()
-    print("shared-root footprint: %d unique pages (%.2fx one instance)"
-          % (footprint["total"], footprint["ratio"]))
-    crash_keys = sorted({key for w in campaign.workers
-                         for key in w.fuzzer.crashes.records})
-    for bug in crash_keys:
-        print("  CRASH %s" % bug)
+    _print_fleet(aggregate, campaign, footprint=True)
     if args.distill:
         print("(--distill is ignored with --workers > 1)")
+    _print_fleet_ignored(args)
+    if args.out:
+        written = save_parallel_campaign(campaign, args.out)
+        print("saved %d files to %s" % (written, args.out))
+    return 0
+
+
+def _print_fleet_ignored(args: argparse.Namespace) -> None:
+    """Name the single-instance flags a fleet ignores."""
     if args.sanitize_resets is not None:
         print("(--sanitize-resets is ignored with --workers > 1)")
     if args.max_chain_depth > 1:
@@ -168,17 +154,14 @@ def _fuzz_parallel(args: argparse.Namespace, profile) -> int:
     if args.fault_plan:
         print("(--fault-plan is ignored with --workers > 1; each worker "
               "derives its plan from --seed and --fault-rate)")
-    if args.out:
-        written = save_parallel_campaign(campaign, args.out)
-        print("saved %d files to %s" % (written, args.out))
-    return 0
 
 
-#: Parser defaults for the flags a durable campaign's manifest records.
-#: On ``--resume``, a flag still at its default adopts the manifest's
-#: value; a flag the user explicitly changed must match the manifest or
-#: the resume is refused (resuming under a different config would
-#: silently produce incomparable results).
+#: Manifest key -> (fuzz flag, parser default) for the flags a durable
+#: campaign's manifest records; a fresh campaign's manifest is built
+#: from them.  On ``--resume``, a flag still at its default adopts the
+#: manifest's value; a flag the user explicitly changed must match the
+#: manifest or the resume is refused (resuming under a different config
+#: would silently produce incomparable results).
 _FUZZ_DEFAULTS = {
     "target": ("target", None),
     "policy": ("policy", "aggressive"),
@@ -219,8 +202,7 @@ def _fuzz_durable(args: argparse.Namespace, profile) -> int:
     """``fuzz --checkpoint-every N``: a journaled, resumable campaign."""
     from repro.coverage.backends import BackendUnavailable
     from repro.faults import PlanError
-    from repro.fuzz.journal import (DurableCampaign, DurableParallelCampaign,
-                                    campaign_manifest)
+    from repro.fuzz.journal import campaign_manifest, durable_campaign
     if not args.out:
         print("--checkpoint-every needs --out DIR (the durable campaign "
               "directory the journal, checkpoints and manifest live in)",
@@ -229,32 +211,14 @@ def _fuzz_durable(args: argparse.Namespace, profile) -> int:
     if args.distill:
         print("(--distill is ignored with --checkpoint-every)")
     kind = "parallel" if args.workers > 1 else "single"
+    if kind == "parallel":
+        _print_fleet_ignored(args)
     manifest = campaign_manifest(
-        kind, args.target, policy=args.policy, seed=args.seed,
-        time_budget=args.time, max_execs=args.execs,
-        checkpoint_every=args.checkpoint_every,
-        asan=not args.no_asan, fault_rate=args.fault_rate,
-        fault_plan=args.fault_plan, exec_timeout=args.exec_timeout,
-        sanitize_every=args.sanitize_resets,
-        coverage_backend=args.coverage_backend,
-        workers=args.workers, sync_interval=args.sync_interval,
-        verify_checkpoints=args.verify_checkpoints,
-        max_chain_depth=args.max_chain_depth)
+        kind, checkpoint_every=args.checkpoint_every, asan=not args.no_asan,
+        **{key: getattr(args, attr)
+           for key, (attr, _default) in _FUZZ_DEFAULTS.items()})
     try:
-        if kind == "parallel":
-            from repro.fuzz.campaign import (
-                build_parallel_campaign_from_manifest)
-            campaign = build_parallel_campaign_from_manifest(profile,
-                                                             manifest)
-            durable = DurableParallelCampaign(
-                campaign, args.out, checkpoint_every=args.checkpoint_every,
-                manifest=manifest, verify_every=args.verify_checkpoints)
-        else:
-            from repro.fuzz.campaign import build_campaign_from_manifest
-            handles = build_campaign_from_manifest(profile, manifest)
-            durable = DurableCampaign(
-                handles, args.out, checkpoint_every=args.checkpoint_every,
-                manifest=manifest, verify_every=args.verify_checkpoints)
+        durable = durable_campaign(profile, manifest, args.out)
     except PlanError as err:
         print("invalid fault plan: %s" % err, file=sys.stderr)
         return 2
@@ -331,32 +295,13 @@ def _run_durable(durable) -> int:
         print("resume with: repro fuzz --resume %s" % durable.directory)
         return 3
     if durable.kind == "parallel":
-        print(result.summary())
-        _print_robustness(result.merged)
-        campaign = durable.campaign
-        retired = campaign.retired_workers()
-        if retired:
-            print("retired workers: %s" % ", ".join(map(str, retired)))
-        for bug in sorted({key for w in campaign.workers
-                           for key in w.fuzzer.crashes.records}):
-            print("  CRASH %s" % bug)
+        _print_fleet(result, durable.campaign)
+        totals = result.merged
     else:
-        stats = result
-        print(stats.summary())
-        _print_robustness(stats)
-        fuzzer = durable.fuzzer
-        for bug in fuzzer.crashes.unique_bugs:
-            record = fuzzer.crashes.records[bug]
-            print("  CRASH %-40s t=%.2fs x%d" % (bug, record.found_at,
-                                                 record.count))
-        if stats.sanitizer_checks:
-            print("reset sanitizer: %d checks, %d leaks"
-                  % (stats.sanitizer_checks, stats.sanitizer_leaks))
-            for diag in fuzzer.sanitizer_findings:
-                print("  %s" % diag.format())
-            if stats.sanitizer_leaks:
-                return 1
-    totals = result.merged if durable.kind == "parallel" else result
+        _print_single(result, durable.fuzzer)
+        if _print_sanitizer(result, durable.fuzzer):
+            return 1
+        totals = result
     print("durability: %d checkpoints written, %d stale epochs pruned, "
           "%d verifications, %d divergences"
           % (totals.checkpoints_written, totals.checkpoint_epochs_pruned,
@@ -369,6 +314,44 @@ def _run_durable(durable) -> int:
     print("campaign complete; corpus+crashes persisted in %s"
           % durable.directory)
     return 0
+
+
+def _print_single(stats, fuzzer) -> None:
+    """A single-instance campaign's summary, robustness and crashes."""
+    print(stats.summary())
+    _print_robustness(stats)
+    for bug in fuzzer.crashes.unique_bugs:
+        record = fuzzer.crashes.records[bug]
+        print("  CRASH %-40s t=%.2fs x%d" % (bug, record.found_at,
+                                             record.count))
+
+
+def _print_sanitizer(stats, fuzzer) -> int:
+    """The reset-sanitizer line and its leaks; 1 when any leaked."""
+    if not stats.sanitizer_checks:
+        return 0
+    print("reset sanitizer: %d checks, %d leaks"
+          % (stats.sanitizer_checks, stats.sanitizer_leaks))
+    for diag in fuzzer.sanitizer_findings:
+        print("  %s" % diag.format())
+    return 1 if stats.sanitizer_leaks else 0
+
+
+def _print_fleet(aggregate, campaign, footprint: bool = False) -> None:
+    """A fleet's summary, robustness, retirements and crashes, with the
+    shared-root page footprint when asked."""
+    print(aggregate.summary())
+    _print_robustness(aggregate.merged)
+    retired = campaign.retired_workers()
+    if retired:
+        print("retired workers: %s" % ", ".join(map(str, retired)))
+    if footprint:
+        pages = campaign.unique_page_footprint()
+        print("shared-root footprint: %d unique pages (%.2fx one instance)"
+              % (pages["total"], pages["ratio"]))
+    for bug in sorted({key for w in campaign.workers
+                       for key in w.fuzzer.crashes.records}):
+        print("  CRASH %s" % bug)
 
 
 def _print_robustness(stats) -> None:

@@ -438,7 +438,7 @@ class GracefulShutdown:
 
 
 # ----------------------------------------------------------------------
-# durable single-instance campaigns
+# durable campaigns: one instance or a fleet
 # ----------------------------------------------------------------------
 
 def _entry_record(entry, spec) -> dict:
@@ -451,27 +451,8 @@ def _entry_record(entry, spec) -> dict:
             "blob": blob}
 
 
-def _tail_summary(records: List[Tuple[str, dict]], corpus_next_id: int,
-                  known_crashes) -> dict:
-    """What the journal recorded beyond the restored checkpoint.
-
-    Those finds are not folded into live state — deterministic
-    re-execution regenerates them identically — but the summary tells
-    the user what the kill window contained (and the ``corpus_add``
-    blobs keep the raw inputs salvageable either way).
-    """
-    adds = 0
-    crashes = 0
-    last_execs = None
-    for kind, body in records:
-        if kind == "corpus_add" and body.get("entry_id", -1) >= corpus_next_id:
-            adds += 1
-        elif kind == "crash" and body.get("key") not in known_crashes:
-            crashes += 1
-        elif kind == "watermark":
-            last_execs = body.get("execs", last_execs)
-    return {"corpus_adds": adds, "crashes": crashes,
-            "journal_execs": last_execs}
+def _watermark(fuzzer) -> dict:
+    return {"execs": fuzzer.stats.execs, "clock": fuzzer.clock.now}
 
 
 class DurableCampaign:
@@ -480,9 +461,18 @@ class DurableCampaign:
     Construction wires a *fresh* campaign for durability (writing the
     manifest); :func:`resume_campaign` builds one from an existing
     directory and restores its newest valid checkpoint.
+
+    It journals each of its fuzzers' corpus adds, crashes and
+    watermarks to that fuzzer's own journal — for a single campaign,
+    ``journal.wal`` itself — and checkpoints, verifications and the
+    stop/complete markers to ``journal.wal``.
+    :class:`DurableParallelCampaign` runs the same code over a fleet.
     """
 
     kind = "single"
+    #: Checkpoint key of the wrapped campaign's resumable state, and the
+    #: name of the attribute holding that campaign.
+    state_key = "fuzzer"
 
     def __init__(self, handles, directory, checkpoint_every: int = 500,
                  manifest: Optional[dict] = None,
@@ -490,6 +480,14 @@ class DurableCampaign:
                  verify_every: Optional[int] = None) -> None:
         self.handles = handles
         self.fuzzer = handles.fuzzer
+        self._open(directory, checkpoint_every, manifest, journal_sync,
+                   verify_every, [self.fuzzer])
+
+    def _open(self, directory, checkpoint_every: int,
+              manifest: Optional[dict], journal_sync: bool,
+              verify_every: Optional[int], fuzzers: list) -> None:
+        """Open the checkpoint store, manifest and ``journal.wal`` (also
+        the fuzzer journal of a single campaign)."""
         self.directory = pathlib.Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
         self.checkpoint_every = max(1, int(checkpoint_every))
@@ -517,8 +515,11 @@ class DurableCampaign:
         self.recovered: dict = {}
         self.completed = False
         self._ckpt_execs = 0
-        self._corpus_mark = 0
-        self._crash_mark: set = set()
+        #: The fuzzers whose progress is journaled, each to the journal
+        #: at the same index of ``fuzzer_journals``.
+        self._fuzzers = fuzzers
+        self.fuzzer_journals = [self.journal]
+        self._take_marks()
 
     # -- resume ---------------------------------------------------------
 
@@ -528,26 +529,56 @@ class DurableCampaign:
         epoch, state, warns = self.checkpoints.load_latest()
         for message in warns:
             warnings.warn(message)
-        if epoch is None:
-            # Killed before the first checkpoint ever landed: restart
-            # from the manifest.  The (truncated) journal still reports
-            # what the lost window had found.
-            self.recovered = _tail_summary(self.journal.records, 0, set())
-            return
-        fuzzer = self.fuzzer
-        if fuzzer.config.sanitize_every:
-            # Re-arm before the clock restore: the baseline digest is
-            # content-based (deterministic), and restore_state erases
-            # the arming charges along with the boot charges.
-            fuzzer._arm_sanitizer()
-        fuzzer.restore_state(state["fuzzer"])
-        self.resumed_from = epoch
-        self.completed = state.get("phase") == "final"
-        self._ckpt_execs = fuzzer.stats.execs
-        self._corpus_mark = fuzzer.corpus.next_id
-        self._crash_mark = set(fuzzer.crashes.records)
-        self.recovered = _tail_summary(
-            self.journal.records, self._corpus_mark, self._crash_mark)
+        if epoch is not None:
+            for fuzzer in self._fuzzers:
+                if fuzzer.config.sanitize_every:
+                    # Re-arm before the clock restore: the baseline
+                    # digest is content-based (deterministic), and
+                    # restore_state erases the arming charges along
+                    # with the boot charges.
+                    fuzzer._arm_sanitizer()
+            self._campaign().restore_state(state[self.state_key])
+            self.resumed_from = epoch
+            self.completed = state.get("phase") == "final"
+            self._ckpt_execs = self._execs()
+            self._take_marks()
+        # Without a checkpoint (killed before the first one landed) the
+        # campaign restarts from the manifest; the (truncated) journals
+        # still report what the lost window had found.
+        self.recovered = self._tail_summary()
+
+    def _take_marks(self) -> None:
+        """Journal only what the campaign adds from here on."""
+        self._corpus_marks = [f.corpus.next_id for f in self._fuzzers]
+        self._crash_marks = [set(f.crashes.records) for f in self._fuzzers]
+
+    def _tail_summary(self) -> dict:
+        """What the journals recorded beyond the restored checkpoint.
+
+        Those finds are not folded into live state — deterministic
+        re-execution regenerates them identically — but the summary
+        tells the user what the kill window contained (and the
+        ``corpus_add`` blobs keep the raw inputs salvageable either
+        way).  Corpus adds and crashes are counted over every fuzzer's
+        journal; ``journal_execs`` is the last campaign watermark in
+        ``journal.wal``.
+        """
+        adds = 0
+        crashes = 0
+        for journal, corpus_mark, crash_mark in zip(
+                self.fuzzer_journals, self._corpus_marks, self._crash_marks):
+            for kind, body in journal.records:
+                if (kind == "corpus_add"
+                        and body.get("entry_id", -1) >= corpus_mark):
+                    adds += 1
+                elif kind == "crash" and body.get("key") not in crash_mark:
+                    crashes += 1
+        last_execs = None
+        for kind, body in self.journal.records:
+            if kind == "watermark":
+                last_execs = body.get("execs", last_execs)
+        return {"corpus_adds": adds, "crashes": crashes,
+                "journal_execs": last_execs}
 
     # -- the durable loop -----------------------------------------------
 
@@ -557,67 +588,85 @@ class DurableCampaign:
         ``stop`` is polled at every step boundary; returning True
         drains into a checkpoint and a resumable exit.  On normal
         completion the corpus/crashes are persisted alongside a
-        ``final.json`` carrying the campaign's ``stats_checksum``.
+        ``final.json`` carrying the campaign's ``stats_checksum``; the
+        result is read after that, so its host counters include the
+        final checkpoint.
         """
-        if self.completed:
+        if not self.completed:
+            if not self._steps(stop):
+                self._graceful_stop()
+                return None
+            self._finalize()
+        elif not (self.directory / "final.json").exists():
             # Killed in the window between the final checkpoint and
             # final.json: re-finalize idempotently instead of stepping.
-            if not (self.directory / "final.json").exists():
-                self._finalize(self.fuzzer.stats)
-            return self.fuzzer.stats
+            self._finalize()
+        return self._result()
+
+    def _steps(self, stop: Optional[Callable[[], bool]]) -> bool:
+        """Step to the end; False when ``stop`` asked for a drain."""
         fuzzer = self.fuzzer
         fuzzer.begin_campaign()
         self._journal_progress()
         while True:
             if stop is not None and stop():
-                self._graceful_stop()
-                return None
+                return False
             if not fuzzer.step():
                 break
-            self._journal_progress()
-            if self._verify_due(fuzzer.stats.execs):
-                self._verify_now()
-            if fuzzer.stats.execs - self._ckpt_execs >= self.checkpoint_every:
-                self.save_checkpoint("periodic")
-        stats = fuzzer.finish_campaign()
-        self._finalize(stats)
-        return stats
+            self._after_step()
+        fuzzer.finish_campaign()
+        return True
+
+    def _after_step(self) -> None:
+        """Journal one step, then verify and checkpoint when due."""
+        self._journal_progress()
+        execs = self._execs()
+        if self._verify_due(execs):
+            self._verify_now()
+        if execs - self._ckpt_execs >= self.checkpoint_every:
+            self.save_checkpoint("periodic")
+
+    def _execs(self) -> int:
+        return sum(fuzzer.stats.execs for fuzzer in self._fuzzers)
 
     def _journal_progress(self) -> None:
-        """Delta-scan the fuzzer after a step and journal what changed."""
-        fuzzer = self.fuzzer
-        corpus = fuzzer.corpus
-        if corpus.next_id > self._corpus_mark:
-            for entry in corpus.export_entries(self._corpus_mark):
-                self.journal.append("corpus_add",
-                                    _entry_record(entry, self.spec))
-            self._corpus_mark = corpus.next_id
-        for key, record in fuzzer.crashes.records.items():
-            if key not in self._crash_mark:
-                self._crash_mark.add(key)
-                self.journal.append("crash", {"key": key,
-                                              "found_at": record.found_at})
-        self.journal.append("watermark", {"execs": fuzzer.stats.execs,
-                                          "clock": fuzzer.clock.now})
+        """Delta-scan every fuzzer after a step and journal what
+        changed, each to the fuzzer's own journal."""
+        for i, fuzzer in enumerate(self._fuzzers):
+            journal = self.fuzzer_journals[i]
+            corpus = fuzzer.corpus
+            if corpus.next_id > self._corpus_marks[i]:
+                for entry in corpus.export_entries(self._corpus_marks[i]):
+                    journal.append("corpus_add",
+                                   _entry_record(entry, self.spec))
+                self._corpus_marks[i] = corpus.next_id
+            crash_mark = self._crash_marks[i]
+            for key, record in fuzzer.crashes.records.items():
+                if key not in crash_mark:
+                    crash_mark.add(key)
+                    journal.append("crash", {"key": key,
+                                             "found_at": record.found_at})
+            journal.append("watermark", _watermark(fuzzer))
 
     def save_checkpoint(self, reason: str = "periodic") -> int:
         """Checkpoint the full resumable state; returns the epoch."""
         phase = "final" if reason == "final" else "running"
-        state = {"phase": phase, "fuzzer": self.fuzzer.snapshot_state()}
+        state = {"phase": phase,
+                 self.state_key: self._campaign().snapshot_state()}
         pruned_before = self.checkpoints.pruned_total
         epoch = self.checkpoints.save(state)
-        stats = self.fuzzer.stats
+        # Campaign-level host counters live on the first fuzzer's stats
+        # (worker 0 of a fleet); merge() sums them into the aggregate.
+        stats = self._fuzzers[0].stats
         stats.checkpoints_written += 1
         stats.checkpoint_epochs_pruned += (
             self.checkpoints.pruned_total - pruned_before)
-        self._ckpt_execs = stats.execs
+        self._ckpt_execs = self._execs()
         if (self.verify_every is not None and self._verify_pending is None
                 and reason == "periodic"):
-            self._verify_pending = (epoch, stats.execs)
-        self.journal.append("checkpoint", {
-            "epoch": epoch, "reason": reason,
-            "execs": stats.execs,
-            "clock": self.fuzzer.clock.now})
+            self._verify_pending = (epoch, self._ckpt_execs)
+        self.journal.append("checkpoint", dict(
+            {"epoch": epoch, "reason": reason}, **self._position()))
         return epoch
 
     # -- cross-process checkpoint verification ---------------------------
@@ -640,182 +689,111 @@ class DurableCampaign:
         self._verify_pending = None
         if epoch not in self.checkpoints.epochs():
             return  # pruned before the replay window elapsed
-        stats = self.fuzzer.stats
-        expected_digest, _trunc = state_digest(self.fuzzer.snapshot_state())
+        execs = self._execs()
+        expected_digest, _trunc = state_digest(
+            self._campaign().snapshot_state())
         findings = verify_checkpoint(
-            self.directory, epoch, stats.execs,
-            stats_checksum(stats), expected_digest, kind=self.kind)
+            self.directory, epoch, execs, stats_checksum(self._stats()),
+            expected_digest, kind=self.kind)
+        stats = self._fuzzers[0].stats
         stats.checkpoint_verifications += 1
         stats.checkpoint_divergences += len(findings)
         self.verify_findings.extend(findings)
         self.journal.append("verify", {
-            "epoch": epoch, "execs": stats.execs,
-            "findings": len(findings)})
+            "epoch": epoch, "execs": execs, "findings": len(findings)})
 
     def _graceful_stop(self) -> None:
         self.save_checkpoint("graceful-stop")
-        self.journal.append("graceful_stop", {
-            "execs": self.fuzzer.stats.execs,
-            "clock": self.fuzzer.clock.now})
-        self.journal.close()
+        self.journal.append("graceful_stop", self._position())
+        self.close()
 
-    def _finalize(self, stats) -> None:
-        from repro.fuzz.persist import save_campaign
+    def _finalize(self) -> None:
         self.save_checkpoint("final")
-        save_campaign(self.fuzzer, str(self.directory))
+        final = self._persist()
+        stats = self._stats()
         checksum = stats_checksum(stats)
-        _atomic_write_text(self.directory / "final.json", json.dumps({
+        final.update({
             "kind": self.kind,
             "stats_checksum": checksum,
             "execs": stats.execs,
             "edges": stats.final_edges,
             "sim_seconds": stats.end_time,
-            "crashes": sorted(self.fuzzer.crashes.records),
-        }, indent=2, sort_keys=True))
+            "crashes": sorted({key for fuzzer in self._fuzzers
+                               for key in fuzzer.crashes.records}),
+        })
+        _atomic_write_text(self.directory / "final.json",
+                           json.dumps(final, indent=2, sort_keys=True))
         self.journal.append("complete", {"execs": stats.execs,
                                          "stats_checksum": checksum})
-        self.journal.close()
+        self.close()
         self.completed = True
 
     def close(self) -> None:
-        """Release file handles without checkpointing (abandon)."""
-        self.journal.close()
+        """Release every journal handle without checkpointing (abandon)."""
+        for journal in [self.journal] + self.fuzzer_journals:
+            journal.close()
+
+    # -- what a fleet replaces ------------------------------------------
+
+    def _campaign(self):
+        """The wrapped campaign, whose state the checkpoints carry."""
+        return getattr(self, self.state_key)
+
+    def _position(self) -> dict:
+        """Exec count (and sim clock) on checkpoint and stop frames."""
+        return _watermark(self.fuzzer)
+
+    def _stats(self):
+        """The stats ``stats_checksum`` is taken over."""
+        return self.fuzzer.stats
+
+    def _result(self):
+        return self.fuzzer.stats
+
+    def _persist(self) -> dict:
+        """Save corpus and crashes; returns extra ``final.json`` keys."""
+        from repro.fuzz.persist import save_campaign
+        save_campaign(self.fuzzer, str(self.directory))
+        return {}
 
 
-# ----------------------------------------------------------------------
-# durable parallel campaigns
-# ----------------------------------------------------------------------
+class DurableParallelCampaign(DurableCampaign):
+    """Durability wrapper around a :class:`ParallelCampaign` fleet.
 
-class DurableParallelCampaign:
-    """Durability wrapper around a :class:`ParallelCampaign`.
-
-    One campaign-level journal records fleet events (quarantines,
-    retirements, sync rounds, total-exec watermarks, checkpoints); each
-    worker gets its own journal for corpus adds and crashes.  On resume
-    the per-worker journals are merged into one recovery summary, and
-    quarantine tallies plus per-worker backoff counters come back from
+    Each worker journals its corpus adds, crashes and watermarks to
+    ``workers/wNN/journal.wal``; ``journal.wal`` adds the fleet events
+    (quarantines, retirements, sync rounds, total-exec watermarks).
+    Quarantine tallies and per-worker backoff counters come back from
     the checkpoint, so supervision state persists fleet-wide.
     """
 
     kind = "parallel"
+    state_key = "campaign"
 
     def __init__(self, campaign, directory, checkpoint_every: int = 1000,
                  manifest: Optional[dict] = None,
                  journal_sync: bool = True,
                  verify_every: Optional[int] = None) -> None:
         self.campaign = campaign
-        self.directory = pathlib.Path(directory)
-        self.directory.mkdir(parents=True, exist_ok=True)
-        self.checkpoint_every = max(1, int(checkpoint_every))
-        self.verify_every = (max(1, int(verify_every))
-                             if verify_every else None)
-        self.verify_findings: List = []
-        self._verify_pending: Optional[Tuple[int, int]] = None
-        self.checkpoints = CheckpointStore(self.directory / "checkpoints")
-        if manifest is not None and not (
-                self.directory / "manifest.json").exists():
-            write_manifest(self.directory, manifest)
-        self.journal = Journal(self.directory / "journal.wal",
-                               sync=journal_sync)
-        self.worker_journals = [
+        self._open(directory, checkpoint_every, manifest, journal_sync,
+                   verify_every, [w.fuzzer for w in campaign.workers])
+        self.fuzzer_journals = [
             Journal(self.directory / "workers" / ("w%02d" % w.worker_id)
                     / "journal.wal", sync=journal_sync)
             for w in campaign.workers]
-        self.spec = campaign.spec
-        self.resumed_from: Optional[int] = None
-        self.recovered: dict = {}
-        self.completed = False
         self._stop: Optional[Callable[[], bool]] = None
-        self._ckpt_execs = 0
-        self._corpus_marks = [0] * len(campaign.workers)
-        self._crash_marks: List[set] = [set() for _ in campaign.workers]
-        self._quarantine_mark: Dict[int, int] = {}
-        self._retired_mark: set = set()
-        self._sync_mark = 0
 
-    # -- resume ---------------------------------------------------------
-
-    def _restore(self) -> None:
-        epoch, state, warns = self.checkpoints.load_latest()
-        for message in warns:
-            warnings.warn(message)
-        if epoch is None:
-            self.recovered = self._merge_tails()
-            return
-        self.campaign.restore_state(state["campaign"])
-        self.resumed_from = epoch
-        self.completed = state.get("phase") == "final"
-        self._ckpt_execs = self.campaign.total_execs()
-        for i, worker in enumerate(self.campaign.workers):
-            self._corpus_marks[i] = worker.fuzzer.corpus.next_id
-            self._crash_marks[i] = set(worker.fuzzer.crashes.records)
-        self._quarantine_mark = dict(self.campaign._entry_failures)
-        self._retired_mark = {w.worker_id for w in self.campaign.workers
+    def _take_marks(self) -> None:
+        super()._take_marks()
+        campaign = self.campaign
+        self._quarantine_mark = dict(campaign._entry_failures)
+        self._retired_mark = {w.worker_id for w in campaign.workers
                               if w.retired}
-        self._sync_mark = len(self.campaign.coverage_series)
-        self.recovered = self._merge_tails()
-
-    def _merge_tails(self) -> dict:
-        """Merge every worker journal's tail into one recovery view."""
-        merged = {"corpus_adds": 0, "crashes": 0, "journal_execs": None}
-        for i, journal in enumerate(self.worker_journals):
-            tail = _tail_summary(journal.records, self._corpus_marks[i],
-                                 self._crash_marks[i])
-            merged["corpus_adds"] += tail["corpus_adds"]
-            merged["crashes"] += tail["crashes"]
-        for kind, body in self.journal.records:
-            if kind == "watermark":
-                merged["journal_execs"] = body.get(
-                    "execs", merged["journal_execs"])
-        return merged
-
-    # -- the durable loop -----------------------------------------------
-
-    def run(self, stop: Optional[Callable[[], bool]] = None):
-        """Run (or continue) the fleet; ``None`` on graceful stop."""
-        if self.completed:
-            aggregate = self.campaign.aggregate()
-            if not (self.directory / "final.json").exists():
-                self._finalize(aggregate)
-            return aggregate
-        self._stop = stop
-        self.campaign.start()
-        self._journal_progress()
-        result = self.campaign.run(controller=self)
-        if result is None:
-            self._graceful_stop()
-            return None
-        self._finalize(result)
-        return result
-
-    # controller protocol consumed by ParallelCampaign.run
-    def should_stop(self) -> bool:
-        return bool(self._stop()) if self._stop is not None else False
-
-    def after_slice(self, campaign, worker) -> None:
-        self._journal_progress()
-        if self._verify_due(campaign.total_execs()):
-            self._verify_now()
-        if campaign.total_execs() - self._ckpt_execs >= self.checkpoint_every:
-            self.save_checkpoint("periodic")
+        self._sync_mark = len(campaign.coverage_series)
 
     def _journal_progress(self) -> None:
+        super()._journal_progress()
         campaign = self.campaign
-        for i, worker in enumerate(campaign.workers):
-            journal = self.worker_journals[i]
-            corpus = worker.fuzzer.corpus
-            if corpus.next_id > self._corpus_marks[i]:
-                for entry in corpus.export_entries(self._corpus_marks[i]):
-                    journal.append("corpus_add",
-                                   _entry_record(entry, self.spec))
-                self._corpus_marks[i] = corpus.next_id
-            for key, record in worker.fuzzer.crashes.records.items():
-                if key not in self._crash_marks[i]:
-                    self._crash_marks[i].add(key)
-                    journal.append("crash", {"key": key,
-                                             "found_at": record.found_at})
-            journal.append("watermark", {"execs": worker.fuzzer.stats.execs,
-                                         "clock": worker.fuzzer.clock.now})
         for checksum, failures in campaign._entry_failures.items():
             if self._quarantine_mark.get(checksum) != failures:
                 self._quarantine_mark[checksum] = failures
@@ -830,100 +808,65 @@ class DurableParallelCampaign:
             self.journal.append("sync", {
                 "rounds": self._sync_mark,
                 "edges": campaign.global_coverage.edge_count()})
-        self.journal.append("watermark",
-                            {"execs": campaign.total_execs()})
+        self.journal.append("watermark", self._position())
 
-    def save_checkpoint(self, reason: str = "periodic") -> int:
-        phase = "final" if reason == "final" else "running"
-        state = {"phase": phase, "campaign": self.campaign.snapshot_state()}
-        pruned_before = self.checkpoints.pruned_total
-        epoch = self.checkpoints.save(state)
-        # Fleet-level host counters live on worker 0's stats; merge()
-        # sums them into the aggregate like every other host counter.
-        stats = self.campaign.workers[0].fuzzer.stats
-        stats.checkpoints_written += 1
-        stats.checkpoint_epochs_pruned += (
-            self.checkpoints.pruned_total - pruned_before)
-        self._ckpt_execs = self.campaign.total_execs()
-        if (self.verify_every is not None and self._verify_pending is None
-                and reason == "periodic"):
-            self._verify_pending = (epoch, self._ckpt_execs)
-        self.journal.append("checkpoint", {
-            "epoch": epoch, "reason": reason,
-            "execs": self.campaign.total_execs()})
-        return epoch
+    def _steps(self, stop: Optional[Callable[[], bool]]) -> bool:
+        self._stop = stop
+        self.campaign.start()
+        self._journal_progress()
+        return self.campaign.run(controller=self) is not None
 
-    # -- cross-process checkpoint verification ---------------------------
+    # controller protocol consumed by ParallelCampaign.run
+    def should_stop(self) -> bool:
+        return bool(self._stop()) if self._stop is not None else False
 
-    def _verify_due(self, execs: int) -> bool:
-        return (self._verify_pending is not None
-                and self.verify_every is not None
-                and execs >= self._verify_pending[1] + self.verify_every)
+    def after_slice(self, campaign, worker) -> None:
+        self._after_step()
 
-    def _verify_now(self) -> None:
-        from repro.analysis.statediff import state_digest, verify_checkpoint
-        epoch, _ckpt_execs = self._verify_pending
-        self._verify_pending = None
-        if epoch not in self.checkpoints.epochs():
-            return  # pruned before the replay window elapsed
-        campaign = self.campaign
-        expected_digest, _trunc = state_digest(campaign.snapshot_state())
-        expected_checksum = stats_checksum(campaign.aggregate().merged)
-        findings = verify_checkpoint(
-            self.directory, epoch, campaign.total_execs(),
-            expected_checksum, expected_digest, kind=self.kind)
-        stats = campaign.workers[0].fuzzer.stats
-        stats.checkpoint_verifications += 1
-        stats.checkpoint_divergences += len(findings)
-        self.verify_findings.extend(findings)
-        self.journal.append("verify", {
-            "epoch": epoch, "execs": campaign.total_execs(),
-            "findings": len(findings)})
+    def _position(self) -> dict:
+        return {"execs": self._execs()}  # workers keep their own clocks
 
-    def _graceful_stop(self) -> None:
-        self.save_checkpoint("graceful-stop")
-        self.journal.append("graceful_stop",
-                            {"execs": self.campaign.total_execs()})
-        self.close()
+    def _stats(self):
+        return self._result().merged
 
-    def _finalize(self, aggregate) -> None:
+    def _result(self):
+        return self.campaign.aggregate()
+
+    def _persist(self) -> dict:
         from repro.fuzz.persist import save_parallel_campaign
-        self.save_checkpoint("final")
         save_parallel_campaign(self.campaign, str(self.directory))
-        checksum = stats_checksum(aggregate.merged)
-        crash_keys = sorted({key for w in self.campaign.workers
-                             for key in w.fuzzer.crashes.records})
-        _atomic_write_text(self.directory / "final.json", json.dumps({
-            "kind": self.kind,
-            "stats_checksum": checksum,
-            "execs": aggregate.merged.execs,
-            "edges": aggregate.merged.final_edges,
-            "sim_seconds": aggregate.merged.end_time,
-            "crashes": crash_keys,
-            "workers": len(self.campaign.workers),
-        }, indent=2, sort_keys=True))
-        self.journal.append("complete", {
-            "execs": aggregate.merged.execs, "stats_checksum": checksum})
-        self.close()
-        self.completed = True
-
-    def close(self) -> None:
-        """Release every journal handle without checkpointing."""
-        self.journal.close()
-        for journal in self.worker_journals:
-            journal.close()
+        return {"workers": len(self.campaign.workers)}
 
 
 # ----------------------------------------------------------------------
-# resume entry point
+# construction and resume
 # ----------------------------------------------------------------------
+
+def durable_campaign(profile, manifest: dict, directory,
+                     journal_sync: bool = True) -> DurableCampaign:
+    """Build the campaign ``manifest`` records and wrap it durably: the
+    one construction path of a fresh (``fuzz --checkpoint-every``) and a
+    resumed durable campaign.  The manifest is written only when the
+    directory has none yet."""
+    from repro.fuzz.campaign import (build_campaign_from_manifest,
+                                     build_parallel_campaign_from_manifest)
+    if manifest.get("kind") == "parallel":
+        wrap, build = (DurableParallelCampaign,
+                       build_parallel_campaign_from_manifest)
+    else:
+        wrap, build = DurableCampaign, build_campaign_from_manifest
+    return wrap(build(profile, manifest), directory,
+                checkpoint_every=int(manifest.get("checkpoint_every", 500)),
+                manifest=manifest, journal_sync=journal_sync,
+                verify_every=manifest.get("verify_checkpoints"))
+
 
 def resume_campaign(directory, journal_sync: bool = True):
     """Rebuild a durable campaign from its directory and restore it.
 
     Validates the manifest (format version, known target, spec digest),
     reconstructs the campaign deterministically through
-    :mod:`repro.fuzz.campaign`, loads the newest valid checkpoint and
+    :func:`durable_campaign`, loads the newest valid checkpoint and
     truncates any torn journal tail.  Returns a :class:`DurableCampaign`
     or :class:`DurableParallelCampaign` ready to ``run()``.
     """
@@ -936,20 +879,8 @@ def resume_campaign(directory, journal_sync: bool = True):
             "campaign manifest names unknown target %r (see `repro "
             "targets`)" % target)
     _check_spec(manifest)
-    checkpoint_every = int(manifest.get("checkpoint_every", 500))
-    verify_every = manifest.get("verify_checkpoints")
-    if manifest.get("kind") == "parallel":
-        from repro.fuzz.campaign import build_parallel_campaign_from_manifest
-        campaign = build_parallel_campaign_from_manifest(profile, manifest)
-        durable = DurableParallelCampaign(
-            campaign, directory, checkpoint_every=checkpoint_every,
-            journal_sync=journal_sync, verify_every=verify_every)
-    else:
-        from repro.fuzz.campaign import build_campaign_from_manifest
-        handles = build_campaign_from_manifest(profile, manifest)
-        durable = DurableCampaign(
-            handles, directory, checkpoint_every=checkpoint_every,
-            journal_sync=journal_sync, verify_every=verify_every)
+    durable = durable_campaign(profile, manifest, directory,
+                               journal_sync=journal_sync)
     durable._restore()
     return durable
 

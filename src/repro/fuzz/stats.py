@@ -14,8 +14,28 @@ from __future__ import annotations
 
 import hashlib
 import json
+import operator
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
+
+#: The host-side counters of :class:`CampaignStats`, each with how
+#: :meth:`CampaignStats.merge` combines two workers' values: the first
+#: non-empty backend, the deepest chain, the sum of every other count.
+HOST_COUNTERS = (
+    ("coverage_backend", lambda merged, part: merged or part),
+    ("prefix_elisions", operator.add),
+    ("prefix_elided_ops", operator.add),
+    ("elision_invalidations", operator.add),
+    ("fold_memo_evictions", operator.add),
+    ("checkpoints_written", operator.add),
+    ("checkpoint_epochs_pruned", operator.add),
+    ("checkpoint_verifications", operator.add),
+    ("checkpoint_divergences", operator.add),
+    ("chain_pushes", operator.add),
+    ("chain_commits", operator.add),
+    ("chain_restores", operator.add),
+    ("chain_deepest", max),
+)
 
 
 @dataclass
@@ -201,21 +221,7 @@ class CampaignStats:
     def host_counters(self) -> Dict[str, Any]:
         """Host-side performance counters, reported next to (never
         inside) the canonical :meth:`as_dict` view."""
-        return {
-            "coverage_backend": self.coverage_backend,
-            "prefix_elisions": self.prefix_elisions,
-            "prefix_elided_ops": self.prefix_elided_ops,
-            "elision_invalidations": self.elision_invalidations,
-            "fold_memo_evictions": self.fold_memo_evictions,
-            "checkpoints_written": self.checkpoints_written,
-            "checkpoint_epochs_pruned": self.checkpoint_epochs_pruned,
-            "checkpoint_verifications": self.checkpoint_verifications,
-            "checkpoint_divergences": self.checkpoint_divergences,
-            "chain_pushes": self.chain_pushes,
-            "chain_commits": self.chain_commits,
-            "chain_restores": self.chain_restores,
-            "chain_deepest": self.chain_deepest,
-        }
+        return {name: getattr(self, name) for name, _merge in HOST_COUNTERS}
 
     # -- multi-worker rollup ------------------------------------------------
 
@@ -253,21 +259,9 @@ class CampaignStats:
             merged.trim_ops_exec += part.trim_ops_exec
             merged.sanitizer_checks += part.sanitizer_checks
             merged.sanitizer_leaks += part.sanitizer_leaks
-            merged.prefix_elisions += part.prefix_elisions
-            merged.prefix_elided_ops += part.prefix_elided_ops
-            merged.elision_invalidations += part.elision_invalidations
-            merged.fold_memo_evictions += part.fold_memo_evictions
-            merged.checkpoints_written += part.checkpoints_written
-            merged.checkpoint_epochs_pruned += part.checkpoint_epochs_pruned
-            merged.checkpoint_verifications += part.checkpoint_verifications
-            merged.checkpoint_divergences += part.checkpoint_divergences
-            merged.chain_pushes += part.chain_pushes
-            merged.chain_commits += part.chain_commits
-            merged.chain_restores += part.chain_restores
-            merged.chain_deepest = max(merged.chain_deepest,
-                                       part.chain_deepest)
-            if part.coverage_backend and not merged.coverage_backend:
-                merged.coverage_backend = part.coverage_backend
+            for name, combine in HOST_COUNTERS:
+                setattr(merged, name, combine(getattr(merged, name),
+                                              getattr(part, name)))
             for key, when in part.crash_times.items():
                 if key not in merged.crash_times or when < merged.crash_times[key]:
                     merged.crash_times[key] = when

@@ -25,7 +25,8 @@ from repro.fuzz.journal import (CheckpointStore, DurabilityError,
                                 DurableCampaign, DurableParallelCampaign,
                                 GracefulShutdown, Journal, campaign_manifest,
                                 read_manifest, resume_campaign,
-                                salvage_corpus_blobs, write_manifest)
+                                salvage_corpus_blobs, scan_journal,
+                                write_manifest)
 from repro.perf.macro import stats_checksum
 from repro.spec.bytecode import SpecError, serialize
 from repro.spec.nodes import default_network_spec
@@ -67,12 +68,43 @@ def _golden(manifest):
             _crash_digest(handles.fuzzer.crashes))
 
 
-def _run_killed(manifest, directory, kill_after_polls):
-    """Run a durable campaign and 'kill' it at the Nth step boundary."""
-    durable = DurableCampaign(
+def _fleet_manifest(seed):
+    return campaign_manifest(
+        "parallel", "lighttpd", policy="balanced", seed=seed,
+        time_budget=10.0, max_execs=700, checkpoint_every=200,
+        workers=2, fault_rate=0.02)
+
+
+def _fleet_outcome(campaign, aggregate):
+    return (stats_checksum(aggregate.merged),
+            [_corpus_blobs(w.fuzzer.corpus) for w in campaign.workers],
+            [_crash_digest(w.fuzzer.crashes) for w in campaign.workers])
+
+
+def _fleet_golden(manifest):
+    """The uninterrupted reference fleet (no durability layer)."""
+    campaign = build_parallel_campaign_from_manifest(PROFILES["lighttpd"],
+                                                     manifest)
+    return _fleet_outcome(campaign, campaign.run())
+
+
+def _fresh_durable(manifest, directory):
+    """A durable single campaign or fleet, as ``manifest`` records."""
+    if manifest["kind"] == "parallel":
+        return DurableParallelCampaign(
+            build_parallel_campaign_from_manifest(PROFILES["lighttpd"],
+                                                  manifest),
+            directory, checkpoint_every=manifest["checkpoint_every"],
+            manifest=manifest, journal_sync=False)
+    return DurableCampaign(
         build_campaign_from_manifest(PROFILES["lighttpd"], manifest),
         directory, checkpoint_every=manifest["checkpoint_every"],
         manifest=manifest, journal_sync=False)
+
+
+def _run_killed(manifest, directory, kill_after_polls):
+    """Run a durable campaign and 'kill' it at the Nth step boundary."""
+    durable = _fresh_durable(manifest, directory)
     calls = [0]
 
     def bomb():
@@ -89,10 +121,22 @@ def _run_killed(manifest, directory, kill_after_polls):
 
 def _resume_and_finish(directory):
     durable = resume_campaign(directory, journal_sync=False)
-    stats = durable.run()
-    return durable, (stats_checksum(stats),
+    result = durable.run()
+    if durable.kind == "parallel":
+        return durable, _fleet_outcome(durable.campaign, result)
+    return durable, (stats_checksum(result),
                      _corpus_blobs(durable.fuzzer.corpus),
                      _crash_digest(durable.fuzzer.crashes))
+
+
+def _assert_recovered_watermark(durable, restored_execs):
+    """The resume summary's ``journal_execs`` is the last watermark in
+    ``journal.wal``, never behind the restored checkpoint."""
+    records, _end, _bad = scan_journal(durable.directory / "journal.wal")
+    watermarks = [body["execs"] for kind, body in records
+                  if kind == "watermark"]
+    assert durable.recovered["journal_execs"] == watermarks[-1]
+    assert watermarks[-1] >= restored_execs
 
 
 # ----------------------------------------------------------------------
@@ -240,8 +284,11 @@ class TestKillResumeDeterminism:
         manifest = _manifest(seed)
         golden = _golden(manifest)
         _run_killed(manifest, tmp_path, kill_after)
-        durable, result = _resume_and_finish(tmp_path)
-        assert result == golden
+        durable = resume_campaign(tmp_path, journal_sync=False)
+        _assert_recovered_watermark(durable, durable.fuzzer.stats.execs)
+        stats = durable.run()
+        assert (stats_checksum(stats), _corpus_blobs(durable.fuzzer.corpus),
+                _crash_digest(durable.fuzzer.crashes)) == golden
         final = json.loads((tmp_path / "final.json").read_text())
         assert final["stats_checksum"] == golden[0]
 
@@ -353,13 +400,15 @@ class TestKillResumeDeterminism:
         for _entry_id, blob in blobs:
             assert deserialize(spec, blob)
 
-    def test_graceful_stop_then_resume(self, tmp_path):
-        manifest = _manifest(seed=11)
-        golden = _golden(manifest)
-        durable = DurableCampaign(
-            build_campaign_from_manifest(PROFILES["lighttpd"], manifest),
-            tmp_path, checkpoint_every=100, manifest=manifest,
-            journal_sync=False)
+    @pytest.mark.parametrize("kind", ["single", "fleet"])
+    def test_graceful_stop_then_resume(self, tmp_path, kind):
+        if kind == "single":
+            manifest = _manifest(seed=11)
+            golden = _golden(manifest)
+        else:
+            manifest = _fleet_manifest(seed=5)
+            golden = _fleet_golden(manifest)
+        durable = _fresh_durable(manifest, tmp_path)
         calls = [0]
 
         def drain():
@@ -375,35 +424,11 @@ class TestKillResumeDeterminism:
 
 
 class TestParallelKillResume:
-    def _manifest(self, seed):
-        return campaign_manifest(
-            "parallel", "lighttpd", policy="balanced", seed=seed,
-            time_budget=10.0, max_execs=700, checkpoint_every=200,
-            workers=2, fault_rate=0.02)
-
-    def _golden(self, manifest):
-        campaign = build_parallel_campaign_from_manifest(
-            PROFILES["lighttpd"], manifest)
-        aggregate = campaign.run()
-        return (stats_checksum(aggregate.merged),
-                [_corpus_blobs(w.fuzzer.corpus) for w in campaign.workers],
-                [_crash_digest(w.fuzzer.crashes) for w in campaign.workers])
-
-    def _result(self, durable, aggregate):
-        workers = durable.campaign.workers
-        return (stats_checksum(aggregate.merged),
-                [_corpus_blobs(w.fuzzer.corpus) for w in workers],
-                [_crash_digest(w.fuzzer.crashes) for w in workers])
-
     @pytest.mark.parametrize("seed,kill_after", [(5, 3), (5, 9), (17, 6)])
     def test_parallel_resume_matches(self, tmp_path, seed, kill_after):
-        manifest = self._manifest(seed)
-        golden = self._golden(manifest)
-        victim = DurableParallelCampaign(
-            build_parallel_campaign_from_manifest(PROFILES["lighttpd"],
-                                                  manifest),
-            tmp_path, checkpoint_every=200, manifest=manifest,
-            journal_sync=False)
+        manifest = _fleet_manifest(seed)
+        golden = _fleet_golden(manifest)
+        victim = _fresh_durable(manifest, tmp_path)
         calls = [0]
 
         def bomb():
@@ -416,20 +441,15 @@ class TestParallelKillResume:
             victim.run(stop=bomb)
         victim.close()
         durable = resume_campaign(tmp_path, journal_sync=False)
+        _assert_recovered_watermark(durable, durable.campaign.total_execs())
         aggregate = durable.run()
-        assert self._result(durable, aggregate) == golden
+        assert _fleet_outcome(durable.campaign, aggregate) == golden
         final = json.loads((tmp_path / "final.json").read_text())
         assert final["stats_checksum"] == golden[0]
         assert final["workers"] == 2
 
     def test_parallel_worker_journals_exist(self, tmp_path):
-        manifest = self._manifest(5)
-        durable = DurableParallelCampaign(
-            build_parallel_campaign_from_manifest(PROFILES["lighttpd"],
-                                                  manifest),
-            tmp_path, checkpoint_every=200, manifest=manifest,
-            journal_sync=False)
-        durable.run()
+        _fresh_durable(_fleet_manifest(5), tmp_path).run()
         assert (tmp_path / "workers" / "w00" / "journal.wal").exists()
         assert (tmp_path / "workers" / "w01" / "journal.wal").exists()
 
@@ -579,6 +599,18 @@ class TestDurableCli:
         assert "conflict" in err and "--seed" in err
         # The recorded target also counts as a conflicting flag.
         assert main(["fuzz", "dnsmasq", "--resume", out]) == 2
+
+    def test_durable_fleet_names_ignored_flags(self, capsys, tmp_path):
+        # The plain fleet path names the single-instance flags it
+        # ignores; the durable fleet records them in the manifest and
+        # must say so too.
+        code = main(["fuzz", "lighttpd", "--workers", "2", "--execs", "120",
+                     "--time", "30", "--seed", "3", "--checkpoint-every",
+                     "60", "--max-chain-depth", "3",
+                     "--out", str(tmp_path / "c")])
+        assert code == 0
+        assert ("(--max-chain-depth is ignored with --workers > 1"
+                in capsys.readouterr().out)
 
     def test_resume_adopts_manifest_defaults(self, capsys, tmp_path):
         # Flags left at their defaults adopt the manifest's values, so

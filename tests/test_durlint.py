@@ -30,7 +30,8 @@ from repro.cli import main as cli_main
 from repro.fuzz.campaign import (build_campaign_from_manifest,
                                  build_parallel_campaign_from_manifest)
 from repro.fuzz.journal import (CheckpointStore, DurableCampaign,
-                                FRAME_KINDS, Journal, campaign_manifest)
+                                DurableParallelCampaign, FRAME_KINDS,
+                                Journal, campaign_manifest, scan_journal)
 from repro.fuzz.stats import CampaignStats
 from repro.perf.macro import stats_checksum
 from repro.targets import PROFILES
@@ -336,6 +337,36 @@ def _manifest(seed, **overrides):
     return campaign_manifest("single", "lighttpd", **base)
 
 
+def _durable_run(kind, tmp_path, seed, checkpoint_every, max_execs,
+                 verify_every=None):
+    """Run a durable single campaign or two-worker fleet to the end;
+    returns the durable campaign and its canonical stats."""
+    if kind == "single":
+        manifest = _manifest(seed, max_execs=max_execs,
+                             checkpoint_every=checkpoint_every,
+                             verify_checkpoints=verify_every)
+        durable = DurableCampaign(
+            build_campaign_from_manifest(PROFILES["lighttpd"], manifest),
+            tmp_path, checkpoint_every=checkpoint_every, manifest=manifest,
+            journal_sync=False, verify_every=verify_every)
+        return durable, durable.run()
+    manifest = campaign_manifest(
+        "parallel", "lighttpd", policy="balanced", seed=seed,
+        time_budget=10.0, max_execs=max_execs,
+        checkpoint_every=checkpoint_every, workers=2,
+        verify_checkpoints=verify_every)
+    durable = DurableParallelCampaign(
+        build_parallel_campaign_from_manifest(PROFILES["lighttpd"], manifest),
+        tmp_path, checkpoint_every=checkpoint_every, manifest=manifest,
+        journal_sync=False, verify_every=verify_every)
+    return durable, durable.run().merged
+
+
+def _frame_kinds(directory):
+    records, _end, _bad = scan_journal(directory / "journal.wal")
+    return [kind for kind, _body in records]
+
+
 def _walk_stateful(root, objects):
     """Breadth-first walk of one live object graph collecting every
     instance that exposes a snapshot/restore pair."""
@@ -477,19 +508,16 @@ class TestStatediff:
         assert any(d.code == "NYX060" and "Tracker.lost" in d.message
                    for d in diags)
 
-    def test_verification_runs_inside_a_durable_campaign(self, tmp_path):
-        manifest = _manifest(4, verify_checkpoints=100)
-        durable = DurableCampaign(
-            build_campaign_from_manifest(PROFILES["lighttpd"], manifest),
-            tmp_path, checkpoint_every=100, manifest=manifest,
-            journal_sync=False, verify_every=100)
-        stats = durable.run()
+    @pytest.mark.parametrize("kind", ["single", "fleet"])
+    def test_verification_runs_inside_a_durable_campaign(self, tmp_path,
+                                                         kind):
+        durable, stats = _durable_run(kind, tmp_path, 4,
+                                      checkpoint_every=100, max_execs=300,
+                                      verify_every=100)
         assert stats.checkpoint_verifications >= 1
         assert stats.checkpoint_divergences == 0
         assert durable.verify_findings == []
-        kinds = [kind for kind, _body in
-                 Journal(tmp_path / "journal.wal", sync=False).records]
-        assert "verify" in kinds
+        assert "verify" in _frame_kinds(tmp_path)
 
     def test_manifest_records_the_cadence(self):
         manifest = _manifest(0, verify_checkpoints=250)
@@ -511,18 +539,19 @@ class TestCheckpointStoreDurability:
         assert store.pruned_total == 2
         assert synced and all(p == tmp_path / "ckpt" for p in synced)
 
-    def test_pruned_epochs_surface_in_stats(self, tmp_path):
-        manifest = _manifest(5, max_execs=400, checkpoint_every=50)
-        durable = DurableCampaign(
-            build_campaign_from_manifest(PROFILES["lighttpd"], manifest),
-            tmp_path, checkpoint_every=50, manifest=manifest,
-            journal_sync=False)
-        stats = durable.run()
+    @pytest.mark.parametrize("kind", ["single", "fleet"])
+    def test_pruned_epochs_surface_in_stats(self, tmp_path, kind):
+        # The returned totals count every checkpoint the campaign wrote,
+        # the final one included (one checkpoint frame each).
+        durable, stats = _durable_run(kind, tmp_path, 5,
+                                      checkpoint_every=50, max_execs=400)
         assert stats.checkpoints_written >= 4
         assert stats.checkpoint_epochs_pruned > 0
         assert stats.checkpoints_written == (
             stats.checkpoint_epochs_pruned
             + len(durable.checkpoints.epochs()))
+        assert stats.checkpoints_written == (
+            _frame_kinds(tmp_path).count("checkpoint"))
 
     def test_unregistered_frame_kind_rejected(self, tmp_path):
         journal = Journal(tmp_path / "journal.wal", sync=False)
