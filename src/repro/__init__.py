@@ -20,7 +20,7 @@ Layer map (bottom-up):
 * :mod:`repro.emu` — the selective network-emulation agent.
 * :mod:`repro.spec` — affine-typed bytecode specs, the seed Builder,
   PCAP import and protocol dissectors.
-* :mod:`repro.coverage` — AFL-style bitmaps over a Python edge tracer.
+* :mod:`repro.coverage` — AFL-style bitmaps over compile-time block sites.
 * :mod:`repro.fuzz` — the Nyx-Net fuzzer (queue, mutators, snapshot
   placement policies, executor, campaign loop).
 * :mod:`repro.targets` — the 13 ProFuzzBench-analogue servers plus the

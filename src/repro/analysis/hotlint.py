@@ -11,7 +11,8 @@ makes the audit permanent.
 The lint is *reachability-scoped*: ``# nyx: hot`` on a ``def`` line
 (or on a ``class`` line, marking every method) declares a hot root —
 the executor's step/reset path, the kernel's syscall dispatch,
-``GuestMemory`` read/write, tracer callbacks, ``MutationEngine.mutate``.
+``GuestMemory`` read/write, the coverage tracer's window and fold,
+``MutationEngine.mutate``.
 A call-graph BFS from those roots computes the hot set; rules fire
 only inside hot-reachable functions, so cold setup/reporting code
 stays unflagged no matter how it allocates.

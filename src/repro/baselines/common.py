@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional
 
-from repro.coverage.tracer import EdgeTracer
+from repro.coverage.tracer import TracerCore
 from repro.fuzz.stats import CampaignStats
 from repro.guestos.kernel import Kernel
 from repro.targets.base import TargetProfile
@@ -29,7 +29,7 @@ class BaselineHarness:
 
     machine: Machine
     kernel: Kernel
-    tracer: EdgeTracer
+    tracer: TracerCore
     profile: TargetProfile
     #: Present when the harness was booted with a desock-style shim.
     interceptor: object = None
@@ -81,7 +81,7 @@ def boot_target(profile: TargetProfile, asan: bool = True,
     kernel.run(max_rounds=256)
     kernel.flush_to_memory(full=True)
     machine.capture_root()
-    tracer = EdgeTracer()
+    tracer = TracerCore()
     kernel.coverage = tracer
     return BaselineHarness(machine, kernel, tracer, profile, interceptor)
 

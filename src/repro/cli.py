@@ -72,7 +72,6 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
         return _fuzz_durable(args, profile)
     if args.workers > 1:
         return _fuzz_parallel(args, profile)
-    from repro.coverage.backends import BackendUnavailable
     from repro.faults import PlanError
     try:
         handles = build_campaign(profile, policy=args.policy, seed=args.seed,
@@ -82,13 +81,9 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
                                  fault_plan=args.fault_plan,
                                  exec_timeout=args.exec_timeout,
                                  sanitize_every=args.sanitize_resets,
-                                 coverage_backend=args.coverage_backend,
                                  max_chain_depth=args.max_chain_depth)
     except PlanError as err:
         print("invalid fault plan: %s" % err, file=sys.stderr)
-        return 2
-    except BackendUnavailable as err:
-        print("coverage backend unavailable: %s" % err, file=sys.stderr)
         return 2
     print("fuzzing %s with nyx-net-%s (sim budget %.0fs, cap %s execs)"
           % (args.target, args.policy, args.time, args.execs))
@@ -113,7 +108,6 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
 
 def _fuzz_parallel(args: argparse.Namespace, profile) -> int:
     """``fuzz --workers N``: one golden boot, N instances, shared root."""
-    from repro.coverage.backends import BackendUnavailable
     from repro.faults import PlanError
     from repro.fuzz.campaign import build_parallel_campaign
     from repro.fuzz.persist import save_parallel_campaign
@@ -122,13 +116,9 @@ def _fuzz_parallel(args: argparse.Namespace, profile) -> int:
             profile, workers=args.workers, policy=args.policy, seed=args.seed,
             time_budget=args.time, max_total_execs=args.execs,
             sync_interval=args.sync_interval,
-            fault_rate=args.fault_rate, exec_timeout=args.exec_timeout,
-            coverage_backend=args.coverage_backend)
+            fault_rate=args.fault_rate, exec_timeout=args.exec_timeout)
     except PlanError as err:
         print("invalid fault plan: %s" % err, file=sys.stderr)
-        return 2
-    except BackendUnavailable as err:
-        print("coverage backend unavailable: %s" % err, file=sys.stderr)
         return 2
     print("fuzzing %s with %d nyx-net-%s workers over one shared root "
           "(sim budget %.0fs, cap %s execs)"
@@ -172,7 +162,6 @@ _FUZZ_DEFAULTS = {
     "fault_plan": ("fault_plan", None),
     "exec_timeout": ("exec_timeout", None),
     "sanitize_every": ("sanitize_resets", None),
-    "coverage_backend": ("coverage_backend", "auto"),
     "max_chain_depth": ("max_chain_depth", 1),
     "workers": ("workers", 1),
     "sync_interval": ("sync_interval", 5.0),
@@ -200,7 +189,6 @@ def _resume_conflicts(manifest: dict, args: argparse.Namespace) -> List[str]:
 
 def _fuzz_durable(args: argparse.Namespace, profile) -> int:
     """``fuzz --checkpoint-every N``: a journaled, resumable campaign."""
-    from repro.coverage.backends import BackendUnavailable
     from repro.faults import PlanError
     from repro.fuzz.journal import campaign_manifest, durable_campaign
     if not args.out:
@@ -222,9 +210,6 @@ def _fuzz_durable(args: argparse.Namespace, profile) -> int:
     except PlanError as err:
         print("invalid fault plan: %s" % err, file=sys.stderr)
         return 2
-    except BackendUnavailable as err:
-        print("coverage backend unavailable: %s" % err, file=sys.stderr)
-        return 2
     print("durable campaign on %s in %s (checkpoint every %d execs)"
           % (args.target, args.out, args.checkpoint_every))
     return _run_durable(durable)
@@ -232,7 +217,6 @@ def _fuzz_durable(args: argparse.Namespace, profile) -> int:
 
 def _fuzz_resume(args: argparse.Namespace) -> int:
     """``fuzz --resume DIR``: continue a durable campaign."""
-    from repro.coverage.backends import BackendUnavailable
     from repro.faults import PlanError
     from repro.fuzz.journal import (DurabilityError, read_manifest,
                                     resume_campaign)
@@ -258,9 +242,6 @@ def _fuzz_resume(args: argparse.Namespace) -> int:
         return 2
     except PlanError as err:
         print("invalid fault plan: %s" % err, file=sys.stderr)
-        return 2
-    except BackendUnavailable as err:
-        print("coverage backend unavailable: %s" % err, file=sys.stderr)
         return 2
     if durable.resumed_from is not None:
         print("resuming %s campaign on %s from checkpoint epoch %d"
@@ -453,20 +434,14 @@ def _bench_perf(args: argparse.Namespace) -> int:
                  ", sanitized" if args.sanitize_resets is not None else "",
                  ", chain depth %d" % args.max_chain_depth
                  if args.max_chain_depth > 1 else ""))
-        from repro.coverage.backends import BackendUnavailable
-        try:
-            macro = run_macro(target=args.target, seed=args.seed, execs=execs,
-                              sanitize_every=args.sanitize_resets,
-                              coverage_backend=args.coverage_backend,
-                              max_chain_depth=args.max_chain_depth)
-        except BackendUnavailable as err:
-            print("coverage backend unavailable: %s" % err, file=sys.stderr)
-            return 2
+        macro = run_macro(target=args.target, seed=args.seed, execs=execs,
+                          sanitize_every=args.sanitize_resets,
+                          max_chain_depth=args.max_chain_depth)
         print("  %d execs in %.2fs wall (%.1f execs/s wall, "
-              "%.1f execs/s sim), %d edges [%s backend]"
+              "%.1f execs/s sim), %d edges"
               % (macro["execs"], macro["wall_seconds"],
                  macro["wall_execs_per_sec"], macro["sim_execs_per_sec"],
-                 macro["final_edges"], macro["coverage_backend"]))
+                 macro["final_edges"]))
         if baseline_report is not None:
             # Recorded in the report so CI artifacts show whether the
             # wall-rate gates were live on this runner or skipped for
@@ -492,14 +467,8 @@ def _bench_perf(args: argparse.Namespace) -> int:
         print("running chain scenario: lightftp deep session, seed %d, "
               "%d execs per leg, bandit depth %d..."
               % (args.seed, chain_execs, args.chain_depth))
-        from repro.coverage.backends import BackendUnavailable
-        try:
-            chain = run_chain_macro(seed=args.seed, execs=chain_execs,
-                                    depth=args.chain_depth,
-                                    coverage_backend=args.coverage_backend)
-        except BackendUnavailable as err:
-            print("coverage backend unavailable: %s" % err, file=sys.stderr)
-            return 2
+        chain = run_chain_macro(seed=args.seed, execs=chain_execs,
+                                depth=args.chain_depth)
         for leg in ("ref", "chain"):
             row = chain[leg]
             print("  %-26s %8.1f execs/s wall  %d edges"
@@ -813,11 +782,6 @@ def build_parser() -> argparse.ArgumentParser:
                            "the same exec boundary and diff the states "
                            "(NYX065/NYX066; default N: 200); exits 1 on "
                            "any divergence")
-    fuzz.add_argument("--coverage-backend", default="auto",
-                      choices=["auto", "settrace", "monitoring"],
-                      help="edge tracer backend (auto: sys.monitoring on "
-                           "3.12+, sys.settrace otherwise; results are "
-                           "byte-identical either way)")
 
     mario = sub.add_parser("mario", help="Table 4 on one level")
     mario.add_argument("level", nargs="?", default="1-1")
@@ -874,11 +838,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="arm the runtime reset sanitizer every N "
                             "execs during the macro run (default N: 250); "
                             "exits 1 on any leak")
-    bench.add_argument("--coverage-backend", default="auto",
-                       choices=["auto", "settrace", "monitoring"],
-                       help="edge tracer backend for the macro campaign "
-                            "(sim metrics and stats_checksum are "
-                            "backend-independent)")
 
     replay = sub.add_parser("replay", help="replay a .nyx input")
     replay.add_argument("target")

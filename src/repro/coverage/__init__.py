@@ -1,21 +1,16 @@
-"""Coverage feedback: AFL-style bitmaps over pluggable edge tracers.
+"""Coverage feedback: AFL-style bitmaps over compile-time block sites.
 
 The paper's prototype supports Intel PT and AFL's compile-time
-instrumentation (§4.5); our substitute traces the *actual Python code*
-of the guest targets and folds (prev, cur) line transitions into a
-classic 64 KiB AFL hit-count bitmap with the standard bucketing
-semantics.  Two byte-equivalent tracer backends exist — ``settrace``
-(every CPython) and ``monitoring`` (PEP 669, 3.12+) — selected through
-:mod:`repro.coverage.backends`.
+instrumentation (§4.5); our substitute compiles the guest targets'
+*actual Python code* with one site append per basic block
+(:mod:`repro.coverage.instrument`) and folds (prev, cur) block
+transitions into a classic 64 KiB AFL hit-count bitmap with the
+standard bucketing semantics (:class:`TracerCore`).
 """
 
-from repro.coverage.backends import (BACKEND_CHOICES, BackendUnavailable,
-                                     default_backend_name, make_tracer,
-                                     resolve_backend_name)
 from repro.coverage.bitmap import (MAP_SIZE, classify_counts, count_bits,
                                    CoverageMap)
-from repro.coverage.tracer import EdgeTracer, TracerCore
+from repro.coverage.tracer import TracerCore
 
 __all__ = ["MAP_SIZE", "classify_counts", "count_bits", "CoverageMap",
-           "EdgeTracer", "TracerCore", "make_tracer", "default_backend_name",
-           "resolve_backend_name", "BACKEND_CHOICES", "BackendUnavailable"]
+           "TracerCore"]

@@ -1,30 +1,22 @@
-"""Edge tracers for guest target code: shared core + settrace backend.
+"""The edge tracer: folds a guest target's block sites into edges.
 
-This is the reproduction's stand-in for AFL compile-time
-instrumentation (§4.5): instead of instrumenting basic blocks at
-compile time, we trace line events of the target's *actual Python
-code* and fold ``(previous site, current site)`` transitions into a
-sparse AFL-style trace, using AFL's ``cur ^ (prev >> 1)`` edge formula.
+This is the reproduction's AFL compile-time instrumentation (§4.5).
+The traced modules are compiled with one precomputed site append at
+each basic-block leader (:mod:`repro.coverage.instrument`), and
+:class:`TracerCore` folds ``(previous site, current site)``
+transitions into a sparse AFL-style trace with AFL's
+``cur ^ (prev >> 1)`` edge formula.  Only the targets are instrumented,
+so the kernel, fuzzer and harness never pollute coverage — the
+analogue of only instrumenting the target binary.
 
-Only code whose filename matches the configured path fragments is
-traced, so the kernel, fuzzer and harness never pollute coverage —
-the analogue of only instrumenting the target binary.
-
-The module is split into a backend-independent :class:`TracerCore`
-(site stream, fold memo, IJON slots, prefix-fold seeding) and the
-``sys.settrace`` backend :class:`EdgeTracer`.  A ``sys.monitoring``
-backend for py3.12+ lives in :mod:`repro.coverage.monitoring`; both
-are registered through :mod:`repro.coverage.backends` and must
-produce byte-identical site streams for the same execution — the
-differential suite in ``tests/test_coverage_backends.py`` pins this.
-
-The tracer sits on the hottest host path there is — every line of
+The tracer sits on the hottest host path there is — every block of
 every target function of every execution — so the work is split into
-a record phase and a fold phase, producing bit-identical traces to the
-straightforward implementation:
+a record phase and a fold phase:
 
-* event callbacks append one precomputed *site* integer per event to a
-  flat stream — no edge arithmetic inside the callback;
+* the instrumented code appends one precomputed *site* integer per
+  block to a flat stream — no edge arithmetic, no interpreter hook;
+  :meth:`TracerCore.run` points the process-wide sink at the stream
+  for the trace window;
 * :meth:`TracerCore.take_trace` folds the site stream into the sparse
   edge trace once per execution, vectorized with numpy when available
   (the pure Python fallback computes the identical dict), memoized on
@@ -33,17 +25,17 @@ straightforward implementation:
   op prefix that a previous recording already proved deterministic and
   seeds :meth:`take_trace` with the recorded prefix fold instead
   (:meth:`elide_suspend` / :meth:`elide_resume`), yielding the same
-  bytes without re-paying the per-line callbacks.
+  bytes without re-recording the prefix.
 """
 
 from __future__ import annotations
 
-import sys
 from array import array as _array
 from collections import OrderedDict
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional
 
 from repro.coverage.bitmap import MAP_SIZE
+from repro.coverage.instrument import DISCARD, SINK
 
 try:  # Optional acceleration for the per-exec fold; results identical.
     import numpy as _np
@@ -58,13 +50,6 @@ except ImportError:  # pragma: no cover - CPython always has it
         for item in iterable:
             mapping[item] = get(item, 0) + 1
 
-#: Path fragments identifying "instrumented" code.  The Mario *engine*
-#: is deliberately absent: like IJON's original experiment, game
-#: progress feedback comes from the IJON state annotation, not from
-#: line coverage of the physics loop (and tracing 2,000 frames of
-#: physics per execution would dominate host time).
-DEFAULT_TRACED_FRAGMENTS = ("/repro/targets/", "/repro/mario/target")
-
 #: Bitmap region where IJON state annotations land (distinct from the
 #: hash range used by code edges only probabilistically, like IJON).
 IJON_BASE = 0xF000
@@ -76,46 +61,20 @@ IJON_BASE = 0xF000
 FOLD_MEMO_LIMIT = 8192
 
 
-def _stable_site(text: str) -> int:
-    """FNV-1a site hash, stable across processes.
-
-    Built-in ``hash`` of strings is randomized per process and ``id()``
-    is a memory address: deriving edge indices from either makes two
-    same-seed campaign runs disagree on their coverage maps (the
-    determinism self-lint's NYX02x family exists to keep exactly this
-    class of leak out of the fuzzer).
-    """
-    value = 0x811C9DC5
-    for byte in text.encode():
-        value = ((value ^ byte) * 0x01000193) & 0xFFFFFFFF
-    return value
-
-
 class TracerCore:
-    """Backend-independent tracer state and the stream-fold pipeline.
+    """Site stream, fold pipeline, IJON slots and prefix seeding."""
 
-    Backends only differ in *how* site integers reach
-    :attr:`_stream`; everything downstream of the stream — folding,
-    memoization, IJON slots, prefix seeding — is shared, which is what
-    makes backend traces byte-comparable.
-    """
-
-    #: Overridden by each backend; surfaced in reports and stats.
-    backend_name = "abstract"
-
-    def __init__(self, traced_fragments: Tuple[str, ...] = DEFAULT_TRACED_FRAGMENTS,
-                 map_size: int = MAP_SIZE,
+    def __init__(self, map_size: int = MAP_SIZE,
                  fold_memo_limit: int = FOLD_MEMO_LIMIT) -> None:
-        self.traced_fragments = tuple(traced_fragments)
         self.map_size = map_size
         self.fold_memo_limit = fold_memo_limit
         #: Sparse trace of the last folded execution (edge -> count);
         #: refreshed by :meth:`take_trace`.
         self.trace: Dict[int, int] = {}
         #: Flat stream of site values in execution order.  Persistent
-        #: list (cleared in place) so the callbacks can capture its
-        #: bound ``append`` once.
+        #: list (cleared in place) so its bound ``append`` is taken once.
         self._stream: List[int] = []
+        self._append = self._stream.append
         #: IJON state hits land directly on edges (they bypass the
         #: prev-site chain), so they live outside the site stream.
         self._ijon: Dict[int, int] = {}
@@ -130,8 +89,8 @@ class TracerCore:
         #: (prefix + live suffix) — the executor's trace recordings
         #: reuse it instead of re-packing.
         self.last_packed: bytes = b""
-        #: Elision state: while suspended, :meth:`run` executes without
-        #: hooks and :meth:`ijon_set` is a no-op (the recorded prefix
+        #: Elision state: while suspended, :meth:`run` leaves the sink
+        #: discarding and :meth:`ijon_set` is a no-op (the recorded prefix
         #: already contains those hits).
         self._suspended = False
         self._prefix_packed: bytes = b""
@@ -270,113 +229,19 @@ class TracerCore:
     def suspended(self) -> bool:
         return self._suspended
 
-    # -- backend hooks -------------------------------------------------------
-
-    def run(self, fn: Callable, *args) -> None:  # pragma: no cover - abstract
-        raise NotImplementedError
-
-
-class EdgeTracer(TracerCore):
-    """``sys.settrace`` backend: works on every supported CPython.
-
-    * the **global** callback is a closure over pre-bound locals whose
-      per-code decision is one dict probe; untraced code (the kernel,
-      the fuzzer, libraries) costs exactly that probe per call;
-    * each traced code object gets its own **specialized local
-      callback** that appends one precomputed site per line event.
-    """
-
-    backend_name = "settrace"
-
-    def __init__(self, traced_fragments: Tuple[str, ...] = DEFAULT_TRACED_FRAGMENTS,
-                 map_size: int = MAP_SIZE,
-                 fold_memo_limit: int = FOLD_MEMO_LIMIT) -> None:
-        super().__init__(traced_fragments, map_size, fold_memo_limit)
-        #: Per-code-object cache: id(code) -> stable site base for
-        #: traced code, None for untraced.  (id() is only the cache
-        #: key — sites themselves come from :func:`_stable_site`.)
-        self._code_cache: Dict[int, Optional[int]] = {}
-        #: id(code) -> (base, specialized local callback) for traced
-        #: code, None for untraced.
-        self._entry_cache: Dict[int, Optional[Tuple[int, Callable]]] = {}
-        self._global = self._build_global()
-        self._depth = 0
-
-    # -- execution wrapper --------------------------------------------------
+    # -- the trace window ------------------------------------------------------
 
     def run(self, fn: Callable, *args) -> None:  # nyx: hot
-        """Run ``fn(*args)`` with tracing enabled.
+        """Run ``fn(*args)`` with the instrumented code's sites going to
+        this tracer's stream.
 
-        Re-entrant: nested calls keep the existing trace hook.  While
-        suspended (prefix elision), runs plain.
+        Restores the sink's previous target on exit, so windows nest.
+        While suspended (prefix elision), the sink discards.
         """
-        if self._suspended:
-            fn(*args)
-            return
-        if self._depth == 0:
-            sys.settrace(self._global)
-        self._depth += 1
+        sink = SINK
+        previous = sink.hit
+        sink.hit = DISCARD if self._suspended else self._append
         try:
             fn(*args)
         finally:
-            self._depth -= 1
-            if self._depth == 0:
-                sys.settrace(None)
-
-    # -- trace hooks -----------------------------------------------------------
-
-    def _build_global(self) -> Callable:  # nyx: hot
-        """The ``sys.settrace`` global callback, specialized once.
-
-        Invoked for every 'call' event in the trace window — including
-        every untraced kernel/library call made by target code — so the
-        miss path is a single dict hit returning None.
-        """
-        entry_cache = self._entry_cache
-        make_entry = self._make_entry
-        append = self._stream.append
-
-        def global_trace(frame, event, arg):
-            code = frame.f_code
-            try:
-                entry = entry_cache[id(code)]
-            except KeyError:
-                entry = make_entry(code)
-            if entry is None:
-                return None
-            # The call edge: the code's base site enters the stream.
-            append(entry[0])
-            return entry[1]
-
-        return global_trace
-
-    def _make_entry(self, code) -> Optional[Tuple[int, Callable]]:
-        """Build (and cache) the specialized local callback for ``code``."""
-        filename = code.co_filename
-        if not any(fragment in filename
-                   for fragment in self.traced_fragments):
-            self._entry_cache[id(code)] = None
-            self._code_cache[id(code)] = None
-            return None
-        base = _stable_site("%s:%s:%d" % (filename, code.co_name,
-                                          code.co_firstlineno))
-        self._code_cache[id(code)] = base
-        base33 = base * 33
-        append = self._stream.append
-
-        def local_trace(frame, event, arg):
-            if event == "line":
-                append((base33 + frame.f_lineno) & 0xFFFFFFFF)
-            return local_trace
-
-        entry = (base, local_trace)
-        self._entry_cache[id(code)] = entry
-        return entry
-
-    def _code_site(self, code) -> Optional[int]:
-        """Stable site base for a code object (None = not traced)."""
-        try:
-            return self._code_cache[id(code)]
-        except KeyError:
-            entry = self._make_entry(code)
-            return None if entry is None else entry[0]
+            sink.hit = previous

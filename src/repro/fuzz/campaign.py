@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.coverage.backends import make_tracer
+from repro.coverage.tracer import TracerCore
 from repro.emu.interceptor import Interceptor
 from repro.fuzz.executor import NyxExecutor
 from repro.fuzz.fuzzer import FuzzerConfig, NyxNetFuzzer
@@ -75,7 +75,6 @@ def build_campaign(profile: TargetProfile,
                    fault_plan: Optional[str] = None,
                    exec_timeout: Optional[float] = None,
                    sanitize_every: Optional[int] = None,
-                   coverage_backend: str = "auto",
                    max_chain_depth: int = 1,
                    seeds=None) -> CampaignHandles:
     """Boot the target in a fresh VM and wire up a Nyx-Net fuzzer.
@@ -86,9 +85,6 @@ def build_campaign(profile: TargetProfile,
     ``fault_plan`` id) arms the fault injector on the network and
     snapshot paths; ``exec_timeout`` arms the per-exec watchdog;
     ``sanitize_every`` arms the NYX05x reset sanitizer every N execs.
-    ``coverage_backend`` picks the tracer backend (``auto`` resolves to
-    ``sys.monitoring`` on 3.12+, ``sys.settrace`` otherwise); backends
-    are byte-equivalent, so campaign results do not depend on it.
     ``max_chain_depth`` > 1 enables overlay snapshot chains (see
     docs/snapshots.md); 1 keeps the paper's single incremental
     snapshot and is byte-identical to a pre-chain build.
@@ -97,8 +93,7 @@ def build_campaign(profile: TargetProfile,
         profile, asan=asan, memory_bytes=memory_bytes,
         heap_slack=heap_slack)
 
-    tracer = make_tracer(coverage_backend)
-    executor = NyxExecutor(machine, kernel, interceptor, tracer,
+    executor = NyxExecutor(machine, kernel, interceptor, TracerCore(),
                            exec_timeout=exec_timeout,
                            max_chain_depth=max_chain_depth)
     if fault_plan is not None or fault_rate != 0.0:
@@ -139,7 +134,6 @@ def build_parallel_campaign(profile: TargetProfile,
                             image_pages: int = 0,
                             fault_rate: float = 0.0,
                             exec_timeout: Optional[float] = None,
-                            coverage_backend: str = "auto",
                             seeds=None):
     """Boot one golden VM and assemble an N-worker parallel campaign.
 
@@ -147,11 +141,7 @@ def build_parallel_campaign(profile: TargetProfile,
     shared root snapshots) and sync corpora AFL-style every
     ``sync_interval`` simulated seconds.
     """
-    from repro.coverage.backends import resolve_backend_name
     from repro.fuzz.parallel import ParallelCampaign, ParallelConfig
-    # Fail fast on a bad/unavailable backend, before booting the
-    # golden VM (workers build their tracers lazily).
-    resolve_backend_name(coverage_backend)
     config = ParallelConfig(workers=workers, policy=policy, seed=seed,
                             time_budget=time_budget,
                             max_total_execs=max_total_execs,
@@ -160,8 +150,7 @@ def build_parallel_campaign(profile: TargetProfile,
                             memory_bytes=memory_bytes, asan=asan,
                             image_pages=image_pages,
                             fault_rate=fault_rate,
-                            exec_timeout=exec_timeout,
-                            coverage_backend=coverage_backend)
+                            exec_timeout=exec_timeout)
     return ParallelCampaign(profile, config, seeds=seeds)
 
 
@@ -191,7 +180,6 @@ def build_campaign_from_manifest(profile: TargetProfile,
         fault_plan=manifest.get("fault_plan"),
         exec_timeout=manifest.get("exec_timeout"),
         sanitize_every=manifest.get("sanitize_every"),
-        coverage_backend=manifest.get("coverage_backend", "auto"),
         max_chain_depth=manifest.get("max_chain_depth", 1))
 
 
@@ -209,5 +197,4 @@ def build_parallel_campaign_from_manifest(profile: TargetProfile,
         iterations_per_snapshot=manifest.get("iterations_per_snapshot", 50),
         sync_interval=manifest.get("sync_interval", 5.0),
         fault_rate=manifest.get("fault_rate", 0.0),
-        exec_timeout=manifest.get("exec_timeout"),
-        coverage_backend=manifest.get("coverage_backend", "auto"))
+        exec_timeout=manifest.get("exec_timeout"))

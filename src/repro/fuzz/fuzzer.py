@@ -167,7 +167,6 @@ class NyxNetFuzzer:
         tracer = self.executor.tracer
         if tracer is not None:
             self.stats.fold_memo_evictions = tracer.fold_evictions
-            self.stats.coverage_backend = tracer.backend_name
         injector = getattr(self.executor.interceptor, "injector", None)
         if injector is not None:
             self.stats.faults_injected = injector.faults_injected

@@ -59,8 +59,10 @@ from repro.fuzz.persist import (_atomic_write_bytes, _atomic_write_text,
                                 _fsync_dir)
 from repro.fuzz.stats import stats_checksum
 
-#: Bumped on any incompatible change to the on-disk layout.
-MANIFEST_VERSION = 1
+#: Bumped on any incompatible change to the on-disk layout, or to what
+#: the recorded coverage means: version 1 campaigns were built on line
+#: sites, and resuming one would mix two coverage metrics in one map.
+MANIFEST_VERSION = 2
 
 #: Oldest pickle protocol both supported interpreters (3.9/3.12) share
 #: efficiently; pinned so checkpoints do not depend on the writer.
@@ -318,7 +320,6 @@ def campaign_manifest(kind: str, target: str, *, policy: str, seed: int,
                       fault_plan: Optional[str] = None,
                       exec_timeout: Optional[float] = None,
                       sanitize_every: Optional[int] = None,
-                      coverage_backend: str = "auto",
                       workers: int = 1,
                       sync_interval: float = 5.0,
                       verify_checkpoints: Optional[int] = None,
@@ -341,7 +342,6 @@ def campaign_manifest(kind: str, target: str, *, policy: str, seed: int,
         "fault_plan": fault_plan,
         "exec_timeout": exec_timeout,
         "sanitize_every": sanitize_every,
-        "coverage_backend": coverage_backend,
         "workers": workers,
         "sync_interval": sync_interval,
         "verify_checkpoints": verify_checkpoints,

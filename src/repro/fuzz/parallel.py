@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.coverage.bitmap import CoverageMap
-from repro.coverage.backends import make_tracer
+from repro.coverage.tracer import TracerCore
 from repro.emu.interceptor import Interceptor
 from repro.faults import FaultInjector, FaultPlan
 from repro.fuzz.executor import NyxExecutor
@@ -85,9 +85,6 @@ class ParallelConfig:
     #: Step failures attributable to the same corpus entry before that
     #: entry is quarantined fleet-wide.
     quarantine_threshold: int = 2
-    #: Coverage tracer backend for every worker ("auto" resolves
-    #: per interpreter; backends are byte-equivalent).
-    coverage_backend: str = "auto"
     #: Pages of simulated OS/page-cache image written into the golden
     #: VM before the root capture.  The lean simulated guest boots into
     #: only a handful of pages; a real VM image is megabytes, and the
@@ -190,8 +187,7 @@ class ParallelCampaign:
         machine.adopt_root(self.root)
         interceptor.adopt_surface_state(self.golden[2])
 
-        tracer = make_tracer(config.coverage_backend)
-        executor = NyxExecutor(machine, kernel, interceptor, tracer,
+        executor = NyxExecutor(machine, kernel, interceptor, TracerCore(),
                                exec_timeout=config.exec_timeout)
         if config.fault_rate != 0.0:  # negatives rejected by FaultPlan
             plan = FaultPlan.for_campaign(

@@ -19,10 +19,9 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 #: The host-side counters of :class:`CampaignStats`, each with how
-#: :meth:`CampaignStats.merge` combines two workers' values: the first
-#: non-empty backend, the deepest chain, the sum of every other count.
+#: :meth:`CampaignStats.merge` combines two workers' values: the
+#: deepest chain, the sum of every other count.
 HOST_COUNTERS = (
-    ("coverage_backend", lambda merged, part: merged or part),
     ("prefix_elisions", operator.add),
     ("prefix_elided_ops", operator.add),
     ("elision_invalidations", operator.add),
@@ -79,11 +78,6 @@ class CampaignStats:
     sanitizer_checks: int = 0
     #: Reset leaks (NYX050/NYX051 findings) those checks reported.
     sanitizer_leaks: int = 0
-    #: Coverage backend the campaign's tracer used ("settrace",
-    #: "monitoring"; "" when tracing is off).  Host-side detail: lives
-    #: outside :meth:`as_dict` so campaigns on different backends stay
-    #: byte-comparable — that identity is the whole point.
-    coverage_backend: str = ""
     #: --- host-side performance counters -----------------------------
     #: These describe how cheaply the host computed the campaign, never
     #: what the campaign computed, so they are excluded from

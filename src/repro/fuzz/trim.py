@@ -34,8 +34,8 @@ from repro.spec.nodes import Spec, SpecError, default_network_spec
 def _signature(trace: Dict[int, int], counts: bool = False) -> int:
     """Order-independent hash of a trace.
 
-    By default the *edge set* is hashed: the Python line tracer's hit
-    counts shift with every replayed packet, so count-sensitive
+    By default the *edge set* is hashed: the edge tracer's hit counts
+    shift with every replayed packet, so count-sensitive
     trimming (afl-tmin's exact rule) would refuse nearly all removals.
     Pass ``counts=True`` for the strict classified-count signature.
     """
@@ -71,6 +71,18 @@ def static_reduce(spec: Spec, input_: FuzzInput) -> Tuple[FuzzInput, int]:
     return candidate, removed
 
 
+def _run_from_root(executor: NyxExecutor, input_: FuzzInput):
+    """``executor.run_full`` from the root snapshot.
+
+    An input with snapshot markers leaves the machine parked on its
+    incremental snapshot, and the next ``run_full`` would start from
+    there; comparing signatures is only sound between runs that start
+    from the same state.
+    """
+    executor.finish_snapshot_cycle()
+    return executor.run_full(input_)
+
+
 def trim_input(executor: NyxExecutor, input_: FuzzInput,
                shrink_payloads: bool = True,
                max_execs: int = 64,
@@ -81,7 +93,7 @@ def trim_input(executor: NyxExecutor, input_: FuzzInput,
     Returns (trimmed input, executions spent).  The result is always
     signature-equivalent to the original.
     """
-    baseline = executor.run_full(input_)
+    baseline = _run_from_root(executor, input_)
     target_sig = _signature(baseline.trace)
     execs = 1
     current = input_.copy()
@@ -93,7 +105,7 @@ def trim_input(executor: NyxExecutor, input_: FuzzInput,
     candidate, removed = static_reduce(spec or default_network_spec(),
                                        current)
     if removed and execs < max_execs:
-        result = executor.run_full(candidate)
+        result = _run_from_root(executor, candidate)
         execs += 1
         if _signature(result.trace) == target_sig:
             current = candidate
@@ -111,7 +123,7 @@ def trim_input(executor: NyxExecutor, input_: FuzzInput,
                 break
             candidate = current.copy()
             del candidate.ops[index]
-            result = executor.run_full(candidate)
+            result = _run_from_root(executor, candidate)
             execs += 1
             if _signature(result.trace) == target_sig:
                 current = candidate
@@ -124,7 +136,7 @@ def trim_input(executor: NyxExecutor, input_: FuzzInput,
             while len(payload) > 1 and execs < max_execs:
                 candidate = current.copy()
                 candidate.with_payload(index, payload[:len(payload) // 2])
-                result = executor.run_full(candidate)
+                result = _run_from_root(executor, candidate)
                 execs += 1
                 if _signature(result.trace) != target_sig:
                     break
@@ -146,7 +158,7 @@ def distill_corpus(executor: NyxExecutor,
     """
     traced: List[Tuple[FuzzInput, frozenset]] = []
     for input_ in inputs:
-        result = executor.run_full(input_)
+        result = _run_from_root(executor, input_)
         traced.append((input_, frozenset(result.trace)))
 
     universe = set()

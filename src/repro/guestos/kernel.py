@@ -798,8 +798,7 @@ class KernelApi:  # nyx: hot
 
     def recv(self, fd: int, max_bytes: int = 65536) -> bytes:
         # Duplicates :meth:`recvfrom` rather than delegating: recv is
-        # the single hottest syscall and the extra call would land
-        # inside the coverage trace window.
+        # the single hottest syscall, so it skips the extra call.
         self._clock._now += self._ctx_cost
         k = self.k
         proc = k.processes.get(self.pid)

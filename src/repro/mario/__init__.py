@@ -8,11 +8,17 @@ Nyx-Net fuzzer (and its snapshot policies) drive it unchanged; IJON's
 max-x state feedback is exposed through the coverage bitmap exactly
 like IJON's own LLVM pass does.
 
-The engine module is deliberately *not* line-traced (see
-:data:`repro.coverage.tracer.DEFAULT_TRACED_FRAGMENTS`): like IJON's
-original experiment, progress feedback comes from the max-x state
-annotation, not from code coverage of the physics loop.
+Only the guest program, :mod:`repro.mario.target`, is compiled with
+block coverage sites (see :func:`repro.coverage.instrument.traced`);
+the instrumenting finder goes in before any submodule is imported.
+The engine is deliberately *not* instrumented: like IJON's original
+experiment, progress feedback comes from the max-x state annotation,
+not from code coverage of the physics loop.
 """
+
+from repro.coverage.instrument import install
+
+install()
 
 from repro.mario.engine import (Buttons, GameState, Level, MarioEngine,
                                 FRAME_DT)

@@ -26,7 +26,6 @@ from repro.perf.timers import wall_now
 def run_macro(target: str = "lighttpd", seed: int = 1,
               execs: int = 2000, policy: str = "aggressive",
               sanitize_every: Optional[int] = None,
-              coverage_backend: str = "auto",
               max_chain_depth: int = 1) -> Dict[str, object]:
     """Run one seeded campaign and report both clocks.
 
@@ -34,9 +33,6 @@ def run_macro(target: str = "lighttpd", seed: int = 1,
     so the measured wall window covers a fixed amount of work.  With
     ``sanitize_every`` the NYX05x reset sanitizer runs during the
     campaign and its leak count is reported (and should be zero).
-    ``coverage_backend`` only changes *how fast* the host computes the
-    campaign: ``stats_checksum`` and every sim metric must come out
-    identical across backends (CI's per-backend bench-smoke pins this).
     ``max_chain_depth`` 1 (the default) is the paper's single
     incremental snapshot; its ``stats_checksum`` must match a build
     without chain support at all — that identity is what the committed
@@ -50,7 +46,6 @@ def run_macro(target: str = "lighttpd", seed: int = 1,
     handles = build_campaign(profile, policy=policy, seed=seed,
                              time_budget=1e9, max_execs=execs,
                              sanitize_every=sanitize_every,
-                             coverage_backend=coverage_backend,
                              max_chain_depth=max_chain_depth)
     boot_seconds = wall_now() - boot_start
 
@@ -82,8 +77,7 @@ def run_macro(target: str = "lighttpd", seed: int = 1,
         },
         # Host-side counters: how cheaply the campaign was computed.
         # Deliberately outside stats_checksum (which hashes the sim
-        # view only) so backends and elision stay byte-comparable.
-        "coverage_backend": stats.coverage_backend,
+        # view only) so elided and fully traced runs stay comparable.
         "host_counters": stats.host_counters(),
     }
     if sanitize_every is not None:
@@ -115,15 +109,13 @@ def deep_session_input():
 
 
 def _run_chain_leg(target: str, policy: str, seed: int, execs: int,
-                   max_chain_depth: int,
-                   coverage_backend: str) -> Dict[str, object]:
+                   max_chain_depth: int) -> Dict[str, object]:
     """One scenario campaign (ref or chain leg) over the deep seed."""
     from repro.fuzz.campaign import build_campaign
     from repro.targets import PROFILES
     profile = PROFILES[target]
     handles = build_campaign(profile, policy=policy, seed=seed,
                              time_budget=1e9, max_execs=execs,
-                             coverage_backend=coverage_backend,
                              max_chain_depth=max_chain_depth,
                              seeds=[deep_session_input()])
     run_start = wall_now()
@@ -145,8 +137,7 @@ def _run_chain_leg(target: str, policy: str, seed: int, execs: int,
 
 
 def run_chain_macro(target: str = "lightftp", seed: int = 1,
-                    execs: int = 600, depth: int = 4,
-                    coverage_backend: str = "auto") -> Dict[str, object]:
+                    execs: int = 600, depth: int = 4) -> Dict[str, object]:
     """Deep-state macro scenario: overlay chains vs single-incremental.
 
     Runs the same 22-packet FTP session seed through two campaigns —
@@ -156,10 +147,8 @@ def run_chain_macro(target: str = "lightftp", seed: int = 1,
     Both legs are deterministic campaigns, so their ``stats_checksum``
     values pin sim-clock behaviour exactly like the plain macro's.
     """
-    ref = _run_chain_leg(target, "balanced", seed, execs, 1,
-                         coverage_backend)
-    chain = _run_chain_leg(target, "bandit", seed, execs, depth,
-                           coverage_backend)
+    ref = _run_chain_leg(target, "balanced", seed, execs, 1)
+    chain = _run_chain_leg(target, "bandit", seed, execs, depth)
     ref_wall = float(ref["wall_execs_per_sec"])
     chain_wall = float(chain["wall_execs_per_sec"])
     return {
@@ -177,5 +166,4 @@ def run_chain_macro(target: str = "lightftp", seed: int = 1,
             "python": sys.version.split()[0],
             "platform": platform.platform(),
         },
-        "coverage_backend": coverage_backend,
     }

@@ -19,7 +19,7 @@ opposite directions, and the two cross-check each other:
   must either gain an annotation or be demoted.
 
 Instrumentation is wrapper-based (``sys.setprofile`` would also see
-host library frames and perturb the settrace coverage backend): every
+host library frames): every
 plain function and method in :data:`PROFILE_MODULES` is replaced with
 a recording wrapper *before* the campaign is built, so bound methods,
 handler tables and restore callbacks all capture the wrapped callable.
@@ -45,10 +45,10 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.diagnostics import Diagnostic
 
-#: Modules whose functions/methods are instrumented.  Coverage backends
-#: are excluded (their callbacks run inside ``sys.settrace`` windows)
-#: and so are target programs (their cost is the *measured* payload,
-#: visible through the kernel surface they call into).
+#: Modules whose functions/methods are instrumented.  The coverage
+#: tracer is excluded (it charges no sim time) and so are target
+#: programs (their cost is the *measured* payload, visible through the
+#: kernel surface they call into).
 PROFILE_MODULES: Tuple[str, ...] = (
     "repro.fuzz.executor",
     "repro.fuzz.fuzzer",

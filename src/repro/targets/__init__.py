@@ -8,7 +8,15 @@ parser, a stateful session machine and the planted memory-safety bugs
 the crash experiments rely on.
 
 ``PROFILES`` is the registry the benchmark harness iterates.
+
+Every submodule is a traced target: the instrumenting finder goes in
+before the first of them is imported, so each loads with block
+coverage sites (:mod:`repro.coverage.instrument`).
 """
+
+from repro.coverage.instrument import install
+
+install()
 
 from repro.targets.base import TargetProfile, MessageServer, ConnCtx
 

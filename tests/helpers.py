@@ -155,3 +155,34 @@ def boot_echo(port: int = 7):
     kernel.flush_to_memory(full=True)
     machine.capture_root()
     return machine, kernel
+
+
+# -- plain code shapes for the coverage tests, which trace them through
+#    repro.coverage.instrument.load("tests.helpers") -------------------------
+
+def straight() -> int:
+    x = 1
+    return x + 1
+
+
+def branchy(flag: bool) -> str:
+    if flag:
+        return "yes"
+    return "no"
+
+
+def loop(n: int) -> int:
+    total = 0
+    for i in range(n):
+        total += i
+    return total
+
+
+def alternating(n: int) -> int:
+    total = 0
+    for i in range(n):
+        if i % 2:
+            total += i
+        else:
+            total -= i
+    return total

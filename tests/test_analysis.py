@@ -499,7 +499,7 @@ class TestWiring:
 class TestTrimStaticPrePass:
     @pytest.fixture()
     def executor(self):
-        from repro.coverage.tracer import EdgeTracer
+        from repro.coverage.tracer import TracerCore
         from repro.emu.interceptor import Interceptor
         from repro.emu.surface import AttackSurface
         from repro.fuzz.executor import NyxExecutor
@@ -513,7 +513,7 @@ class TestTrimStaticPrePass:
         kernel.run(max_rounds=256)
         kernel.flush_to_memory(full=True)
         machine.capture_root()
-        return NyxExecutor(machine, kernel, interceptor, EdgeTracer())
+        return NyxExecutor(machine, kernel, interceptor, TracerCore())
 
     def test_static_reduce_counts_into_stats(self, executor):
         from repro.fuzz.trim import _signature, trim_input

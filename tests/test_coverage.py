@@ -5,7 +5,13 @@ from hypothesis import strategies as st
 
 from repro.coverage.bitmap import (BUCKET_LOOKUP, CoverageMap, MAP_SIZE,
                                    classify_counts, count_bits)
-from repro.coverage.tracer import EdgeTracer
+from repro.coverage.instrument import load
+from repro.coverage.tracer import TracerCore
+
+from tests import helpers
+
+#: tests.helpers compiled with block sites.
+traced = load("tests.helpers")
 
 
 class TestBuckets:
@@ -98,58 +104,56 @@ def count_nonzero(trace):
 
 class TestEdgeTracer:
     def test_traces_only_matching_files(self):
-        tracer = EdgeTracer(traced_fragments=("test_coverage",))
-
-        def traced():
-            x = 1
-            return x + 1
+        tracer = TracerCore()
+        tracer.begin()
+        tracer.run(traced.straight)
+        assert tracer.take_trace()  # the instrumented copy
 
         tracer.begin()
-        tracer.run(traced)
-        assert tracer.take_trace()  # this file matches
-
-        tracer2 = EdgeTracer(traced_fragments=("/no/such/path/",))
-        tracer2.begin()
-        tracer2.run(traced)
-        assert not tracer2.take_trace()
+        tracer.run(helpers.straight)  # the plain module has no sites
+        assert not tracer.take_trace()
 
     def test_different_branches_differ(self):
-        tracer = EdgeTracer(traced_fragments=("test_coverage",))
-
-        def branchy(flag):
-            if flag:
-                return "yes"
-            return "no"
-
+        tracer = TracerCore()
         tracer.begin()
-        tracer.run(branchy, True)
+        tracer.run(traced.branchy, True)
         trace_true = dict(tracer.take_trace())
         tracer.begin()
-        tracer.run(branchy, False)
+        tracer.run(traced.branchy, False)
         trace_false = dict(tracer.take_trace())
         assert trace_true != trace_false
 
     def test_loop_raises_hit_counts(self):
-        tracer = EdgeTracer(traced_fragments=("test_coverage",))
-
-        def loop(n):
-            total = 0
-            for i in range(n):
-                total += i
-            return total
-
+        tracer = TracerCore()
         tracer.begin()
-        tracer.run(loop, 10)
+        tracer.run(traced.loop, 10)
         assert max(tracer.take_trace().values()) >= 9
 
     def test_begin_resets(self):
-        tracer = EdgeTracer(traced_fragments=("test_coverage",))
-        tracer.run(lambda: sum(range(3)))
+        tracer = TracerCore()
+        tracer.run(traced.loop, 3)
         tracer.begin()
         assert tracer.take_trace() == {}
 
+    def test_sink_discards_outside_windows(self):
+        tracer = TracerCore()
+        tracer.begin()
+        traced.loop(5)  # no window open: nothing is recorded anywhere
+        assert tracer.stream_pos() == 0
+        tracer.run(traced.loop, 5)
+        inside = tracer.stream_pos()
+        traced.loop(5)
+        assert tracer.stream_pos() == inside > 0
+
+    def test_suspended_window_records_nothing(self):
+        tracer = TracerCore()
+        tracer.begin()
+        tracer.elide_suspend()
+        tracer.run(traced.loop, 5)
+        assert tracer.stream_pos() == 0
+
     def test_ijon_set_lands_in_trace(self):
-        tracer = EdgeTracer()
+        tracer = TracerCore()
         tracer.begin()
         tracer.ijon_set(3)
         tracer.ijon_set(3)
@@ -158,7 +162,7 @@ class TestEdgeTracer:
         assert list(trace.values()) == [2]
 
     def test_ijon_slots_distinct(self):
-        tracer = EdgeTracer()
+        tracer = TracerCore()
         tracer.begin()
         tracer.ijon_set(1)
         tracer.ijon_set(2)

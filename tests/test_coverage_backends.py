@@ -1,25 +1,18 @@
-"""Differential tests for the pluggable coverage backends and
+"""Tests for the tracer's host-side accelerators: the fold memo and
 prefix-trace elision.
 
-The contract under test: backend choice (``settrace`` vs
-``sys.monitoring``) and prefix-trace elision are pure host-side
+The contract under test: elision and the fold memo are pure host-side
 performance knobs — edge maps, hit-count buckets, IJON slots and the
 campaign ``stats_checksum`` must come out byte-identical however the
-trace was collected.  The monitoring half runs only on CPython 3.12+
-(PEP 669); everything else runs everywhere.
+trace was collected.  The guest code traced here is ``tests.helpers``,
+compiled with block sites by the same loader as the targets.
 """
 
-import sys
-
-import pytest
-
-from repro.coverage.backends import (BACKEND_CHOICES, BackendUnavailable,
-                                     default_backend_name, make_tracer,
-                                     resolve_backend_name)
-from repro.coverage.tracer import EdgeTracer
+from repro.coverage.instrument import load
+from repro.coverage.tracer import TracerCore
 from repro.emu.interceptor import Interceptor
 from repro.emu.surface import AttackSurface
-from repro.fuzz.campaign import build_campaign, build_parallel_campaign
+from repro.fuzz.campaign import build_campaign
 from repro.fuzz.executor import NyxExecutor
 from repro.fuzz.input import FuzzInput, packets_input
 from repro.fuzz.stats import CampaignStats
@@ -29,88 +22,23 @@ from repro.spec.bytecode import Op
 from repro.targets.lightftp import PROFILE as LIGHTFTP
 from repro.vm.machine import Machine
 
-from tests.helpers import EchoServer
-
-HAS_MONITORING = hasattr(sys, "monitoring")
-
-needs_monitoring = pytest.mark.skipif(
-    not HAS_MONITORING, reason="sys.monitoring needs CPython 3.12+")
+#: tests.helpers compiled with block sites.
+traced = load("tests.helpers")
 
 
-def traced_echo(backend="settrace", trace_elision=True):
-    """Echo rig whose guest code is actually traced (the default
-    fragments only match target modules, not tests.helpers)."""
+def traced_echo(trace_elision=True):
+    """Echo rig whose guest code is actually traced (the plain
+    tests.helpers has no coverage sites)."""
     machine = Machine(memory_bytes=16 * 1024 * 1024)
     kernel = Kernel(machine)
     interceptor = Interceptor(kernel, AttackSurface.tcp_server(7))
-    kernel.spawn(EchoServer(7))
+    kernel.spawn(traced.EchoServer(7))
     kernel.run()
     kernel.flush_to_memory(full=True)
     machine.capture_root()
-    tracer = make_tracer(backend, traced_fragments=("helpers",))
-    executor = NyxExecutor(machine, kernel, interceptor, tracer,
+    executor = NyxExecutor(machine, kernel, interceptor, TracerCore(),
                            trace_elision=trace_elision)
     return machine, kernel, interceptor, executor
-
-
-# ----------------------------------------------------------------------
-# backend registry / selection
-# ----------------------------------------------------------------------
-
-
-class TestBackendSelection:
-    def test_choices(self):
-        assert BACKEND_CHOICES == ("auto", "settrace", "monitoring")
-
-    def test_default_matches_interpreter(self):
-        expected = "monitoring" if HAS_MONITORING else "settrace"
-        assert default_backend_name() == expected
-        assert resolve_backend_name("auto") == expected
-        assert resolve_backend_name() == expected
-
-    def test_explicit_settrace_resolves(self):
-        assert resolve_backend_name("settrace") == "settrace"
-
-    def test_unknown_backend_raises(self):
-        with pytest.raises(BackendUnavailable):
-            resolve_backend_name("qemu")
-
-    @pytest.mark.skipif(HAS_MONITORING,
-                        reason="monitoring IS available here")
-    def test_monitoring_unavailable_raises(self):
-        with pytest.raises(BackendUnavailable) as err:
-            resolve_backend_name("monitoring")
-        assert "3.12" in str(err.value)
-
-    @pytest.mark.skipif(HAS_MONITORING,
-                        reason="monitoring IS available here")
-    def test_parallel_campaign_fails_fast_on_bad_backend(self):
-        # The eager check fires before the golden VM boots (workers
-        # only build their tracers lazily inside run()).
-        with pytest.raises(BackendUnavailable):
-            build_parallel_campaign(LIGHTFTP, workers=2,
-                                    coverage_backend="monitoring")
-
-    def test_make_tracer_settrace(self):
-        tracer = make_tracer("settrace")
-        assert isinstance(tracer, EdgeTracer)
-        assert tracer.backend_name == "settrace"
-
-    def test_make_tracer_kwargs_pass_through(self):
-        tracer = make_tracer("settrace", fold_memo_limit=7,
-                             traced_fragments=("x",))
-        assert tracer.fold_memo_limit == 7
-        assert tracer.traced_fragments == ("x",)
-
-    @needs_monitoring
-    def test_make_tracer_monitoring(self):
-        from repro.coverage.monitoring import MonitoringTracer, deactivate
-        tracer = make_tracer("monitoring")
-        try:
-            assert isinstance(tracer, MonitoringTracer)
-            assert tracer.backend_name == "monitoring"
-        finally:
-            deactivate()
 
 
 # ----------------------------------------------------------------------
@@ -118,23 +46,12 @@ class TestBackendSelection:
 # ----------------------------------------------------------------------
 
 
-def _branchy(n):
-    total = 0
-    for i in range(n):
-        if i % 2:
-            total += i
-        else:
-            total -= i
-    return total
-
-
 class TestFoldMemoBound:
     def test_cache_stays_bounded_and_counts_evictions(self):
-        tracer = EdgeTracer(traced_fragments=("test_coverage_backends",),
-                            fold_memo_limit=4)
+        tracer = TracerCore(fold_memo_limit=4)
         for n in range(10):
             tracer.begin()
-            tracer.run(_branchy, n)
+            tracer.run(traced.alternating, n)
             tracer.take_trace()
         assert len(tracer._fold_cache) <= 4
         assert tracer.fold_evictions > 0
@@ -142,33 +59,30 @@ class TestFoldMemoBound:
     def test_refold_after_eviction_is_identical(self):
         # An evicted stream re-folds to the same trace a fresh,
         # unbounded tracer computes: the memo is a cache, not state.
-        small = EdgeTracer(traced_fragments=("test_coverage_backends",),
-                           fold_memo_limit=2)
+        small = TracerCore(fold_memo_limit=2)
         first = {}
         for n in (3, 4, 5, 6):
             small.begin()
-            small.run(_branchy, n)
+            small.run(traced.alternating, n)
             trace = dict(small.take_trace())
             if n == 3:
                 first = trace
         small.begin()
-        small.run(_branchy, 3)  # 3 was evicted by now
+        small.run(traced.alternating, 3)  # 3 was evicted by now
         refolded = dict(small.take_trace())
         assert refolded == first
 
-        fresh = EdgeTracer(traced_fragments=("test_coverage_backends",))
+        fresh = TracerCore()
         fresh.begin()
-        fresh.run(_branchy, 3)
+        fresh.run(traced.alternating, 3)
         assert dict(fresh.take_trace()) == first
 
     def test_campaign_stamps_eviction_counter(self):
         handles = build_campaign(LIGHTFTP, policy="balanced", seed=2,
-                                 time_budget=1e9, max_execs=80,
-                                 coverage_backend="settrace")
+                                 time_budget=1e9, max_execs=80)
         handles.executor.tracer.fold_memo_limit = 2
         stats = handles.fuzzer.run_campaign()
         assert stats.fold_memo_evictions > 0
-        assert stats.coverage_backend == "settrace"
 
 
 # ----------------------------------------------------------------------
@@ -177,7 +91,7 @@ class TestFoldMemoBound:
 
 
 class TestHostCounterPurity:
-    HOST_KEYS = ("coverage_backend", "prefix_elisions", "prefix_elided_ops",
+    HOST_KEYS = ("prefix_elisions", "prefix_elided_ops",
                  "elision_invalidations", "fold_memo_evictions",
                  "checkpoints_written", "checkpoint_epochs_pruned",
                  "checkpoint_verifications", "checkpoint_divergences",
@@ -186,7 +100,6 @@ class TestHostCounterPurity:
 
     def test_as_dict_excludes_host_counters(self):
         stats = CampaignStats()
-        stats.coverage_backend = "settrace"
         stats.prefix_elisions = 9
         as_dict = stats.as_dict()
         for key in self.HOST_KEYS:
@@ -199,18 +112,17 @@ class TestHostCounterPurity:
         a, b = CampaignStats(), CampaignStats()
         a.prefix_elisions, b.prefix_elisions = 2, 3
         a.fold_memo_evictions, b.fold_memo_evictions = 1, 4
-        b.coverage_backend = "settrace"
+        a.chain_deepest, b.chain_deepest = 3, 2
         merged = CampaignStats.merge([a, b])
         assert merged.prefix_elisions == 5
         assert merged.fold_memo_evictions == 5
-        assert merged.coverage_backend == "settrace"
+        assert merged.chain_deepest == 3
 
     def test_checksum_blind_to_host_counters(self):
         stats = CampaignStats()
         before = stats_checksum(stats)
         stats.prefix_elisions = 1000
         stats.fold_memo_evictions = 50
-        stats.coverage_backend = "monitoring"
         assert stats_checksum(stats) == before
 
 
@@ -395,133 +307,3 @@ class TestElisionInvalidation:
         bugged = executor.run_full(child, parent_key=1)
         assert executor.prefix_elisions >= 1
         assert bugged.trace != ground_truth
-
-
-# ----------------------------------------------------------------------
-# settrace <-> monitoring differential suite (CPython 3.12+)
-# ----------------------------------------------------------------------
-
-
-def _shape_loop_branch(n):
-    total = 0
-    for i in range(n):
-        if i % 3 == 0:
-            total += i
-        elif i % 3 == 1:
-            total -= i
-    return total
-
-
-def _shape_one_line_while(n):
-    while n > 0: n -= 1  # noqa: E701 - one-line while is the point
-    return n
-
-
-def _shape_comprehensions(n):
-    squares = [i * i for i in range(n)]
-    odds = {i for i in squares if i % 2}
-    return sum(squares) + len(odds)
-
-
-def _shape_generator(n):
-    def gen():
-        for i in range(n):
-            yield i * 2
-    return sum(gen())
-
-
-def _shape_exceptions(n):
-    total = 0
-    for i in range(n):
-        try:
-            if i % 2:
-                raise ValueError(i)
-            total += 1
-        except ValueError:
-            total += 2
-    return total
-
-
-def _shape_recursion(n):
-    if n <= 1:
-        return 1
-    return n * _shape_recursion(n - 1)
-
-
-def _shape_nested_calls(n):
-    def inner(x):
-        return x + 1
-    total = 0
-    for i in range(n):
-        total = inner(total)
-    return total
-
-
-_SHAPES = [
-    (_shape_loop_branch, 7),
-    (_shape_one_line_while, 5),
-    (_shape_comprehensions, 6),
-    (_shape_generator, 5),
-    (_shape_exceptions, 6),
-    (_shape_recursion, 6),
-    (_shape_nested_calls, 4),
-]
-
-
-@needs_monitoring
-class TestBackendDifferential:
-    def _trace_with(self, backend, fn, arg):
-        from repro.coverage import monitoring
-        tracer = make_tracer(backend,
-                             traced_fragments=("test_coverage_backends",))
-        try:
-            tracer.begin()
-            tracer.run(fn, arg)
-            trace = dict(tracer.take_trace())
-            return trace, bytes(tracer.last_packed)
-        finally:
-            monitoring.deactivate()
-
-    @pytest.mark.parametrize("fn,arg", _SHAPES,
-                             ids=[fn.__name__ for fn, _ in _SHAPES])
-    def test_shapes_trace_identically(self, fn, arg):
-        settrace_trace, settrace_stream = self._trace_with(
-            "settrace", fn, arg)
-        monitoring_trace, monitoring_stream = self._trace_with(
-            "monitoring", fn, arg)
-        assert settrace_trace  # shapes must actually produce coverage
-        # Byte-identical site streams, not just equal fold results.
-        assert monitoring_stream == settrace_stream
-        assert monitoring_trace == settrace_trace
-
-    def test_ijon_slots_identical(self):
-        from repro.coverage import monitoring
-        traces = {}
-        for backend in ("settrace", "monitoring"):
-            tracer = make_tracer(backend)
-            try:
-                tracer.begin()
-                tracer.ijon_set(3)
-                tracer.ijon_set(3)
-                tracer.ijon_set(9)
-                traces[backend] = dict(tracer.take_trace())
-            finally:
-                monitoring.deactivate()
-        assert traces["settrace"] == traces["monitoring"]
-
-    def test_campaign_checksums_identical(self):
-        from repro.coverage import monitoring
-        checksums = {}
-        for backend in ("settrace", "monitoring"):
-            try:
-                handles = build_campaign(LIGHTFTP, policy="balanced",
-                                         seed=3, time_budget=1e9,
-                                         max_execs=80,
-                                         coverage_backend=backend)
-                stats = handles.fuzzer.run_campaign()
-                checksums[backend] = (stats_checksum(stats),
-                                      stats.final_edges)
-                assert stats.coverage_backend == backend
-            finally:
-                monitoring.deactivate()
-        assert checksums["settrace"] == checksums["monitoring"]

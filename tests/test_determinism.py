@@ -9,7 +9,7 @@ executions against a snapshot never drift.
 
 from repro.emu.interceptor import Interceptor
 from repro.emu.surface import AttackSurface
-from repro.coverage.tracer import EdgeTracer
+from repro.coverage.tracer import TracerCore
 from repro.fuzz.executor import NyxExecutor
 from repro.fuzz.input import packets_input
 from repro.guestos.kernel import Kernel
@@ -25,7 +25,7 @@ def fresh_executor():
     kernel.run(max_rounds=256)
     kernel.flush_to_memory(full=True)
     machine.capture_root()
-    return NyxExecutor(machine, kernel, interceptor, EdgeTracer()), machine
+    return NyxExecutor(machine, kernel, interceptor, TracerCore()), machine
 
 
 SESSION = packets_input([b"USER anonymous\r\n", b"PASS x\r\n",

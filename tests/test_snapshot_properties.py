@@ -193,26 +193,25 @@ def test_snapshot_costs_scale_with_dirty_pages(n_small, n_large):
 
 
 # ----------------------------------------------------------------------
-# prefix-trace elision == full tracing (PR: pluggable backends)
+# prefix-trace elision == full tracing
 # ----------------------------------------------------------------------
 
 
 def _traced_executor():
-    from repro.coverage.tracer import EdgeTracer
+    from repro.coverage.instrument import load
+    from repro.coverage.tracer import TracerCore
     from repro.emu.interceptor import Interceptor
     from repro.emu.surface import AttackSurface
     from repro.fuzz.executor import NyxExecutor
     from repro.guestos.kernel import Kernel
-    from tests.helpers import EchoServer
     machine = Machine(memory_bytes=16 * 1024 * 1024)
     kernel = Kernel(machine)
     interceptor = Interceptor(kernel, AttackSurface.tcp_server(7))
-    kernel.spawn(EchoServer(7))
+    kernel.spawn(load("tests.helpers").EchoServer(7))
     kernel.run()
     kernel.flush_to_memory(full=True)
     machine.capture_root()
-    tracer = EdgeTracer(traced_fragments=("helpers",))
-    return machine, NyxExecutor(machine, kernel, interceptor, tracer)
+    return machine, NyxExecutor(machine, kernel, interceptor, TracerCore())
 
 
 def _elision_sequence(machine, executor, base, child):

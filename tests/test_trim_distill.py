@@ -8,7 +8,7 @@ from repro.fuzz.executor import NyxExecutor
 from repro.fuzz.input import packets_input
 from repro.fuzz.trim import distill_corpus, trim_input
 from repro.guestos.kernel import Kernel
-from repro.coverage.tracer import EdgeTracer
+from repro.coverage.tracer import TracerCore
 from repro.targets.lightftp import LightFtpServer, PORT
 from repro.vm.machine import Machine
 
@@ -22,7 +22,7 @@ def executor():
     kernel.run(max_rounds=256)
     kernel.flush_to_memory(full=True)
     machine.capture_root()
-    return NyxExecutor(machine, kernel, interceptor, EdgeTracer())
+    return NyxExecutor(machine, kernel, interceptor, TracerCore())
 
 
 class TestTrim:
