@@ -174,7 +174,7 @@ def _child_report(resume_dir: str, epoch: Optional[int], until_execs: int,
     whose open path truncates torn tails and belongs to the parent.
     """
     from repro.fuzz.journal import CheckpointStore, read_manifest
-    from repro.perf.macro import stats_checksum
+    from repro.fuzz.stats import stats_checksum
     from repro.targets import PROFILES
     manifest = read_manifest(resume_dir)
     profile = PROFILES.get(manifest.get("target"))

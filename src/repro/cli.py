@@ -6,9 +6,8 @@ Commands:
 * ``fuzz <target>`` — run a Nyx-Net campaign against one target.
 * ``mario <level>`` — run the Table 4 time-to-solve comparison on one
   Super Mario level.
-* ``bench`` — hot-path performance benchmarks on both clocks, with a
-  committed-baseline regression gate (``--check``); ``--matrix`` runs
-  the ProFuzzBench matrix and prints Tables 1-3 instead.
+* ``bench`` — run the ProFuzzBench campaign matrix and print Tables
+  1-3 (wall-clock throughput is measured by ``nyxbench/``).
 * ``replay <target> <file.nyx>`` — replay a persisted input (e.g. a
   crash reproducer) against a fresh target VM.
 * ``analyze`` — static diagnostics: spec lint, corpus dataflow audit
@@ -366,131 +365,23 @@ def _cmd_mario(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    if args.matrix:
-        return _bench_matrix(args)
-    return _bench_perf(args)
-
-
-def _bench_matrix(args: argparse.Namespace) -> int:
-    """``bench --matrix``: the ProFuzzBench campaign matrix (Tables 1-3)."""
+    """``bench``: the ProFuzzBench campaign matrix (Tables 1-3)."""
     from repro.bench.profuzzbench import BenchConfig, run_matrix
     from repro.bench.reporting import (coverage_table, crash_table,
                                        throughput_table)
+    from repro.targets import PROFILES
     config = BenchConfig()
     targets = args.targets.split(",") if args.targets else None
+    for name in targets or ():
+        if name not in PROFILES:
+            print("unknown target %r (see `repro targets`)" % name,
+                  file=sys.stderr)
+            return 2
     matrix = run_matrix(targets=targets, config=config, progress=True)
     for table in (crash_table(matrix), coverage_table(matrix),
                   throughput_table(matrix)):
         print()
         print(table)
-    return 0
-
-
-def _bench_perf(args: argparse.Namespace) -> int:
-    """``bench``: hot-path performance benchmarks (docs/performance.md).
-
-    Runs the micro suite, the macro campaign benchmark and the
-    deep-state chain scenario, writes ``BENCH_micro.json`` /
-    ``BENCH_fuzz.json`` / ``BENCH_chain.json``, and with ``--check``
-    gates the results against a committed baseline.
-    """
-    import os
-
-    from repro.perf import (compare_reports, load_report, run_chain_macro,
-                            run_macro, run_micro, write_report)
-    from repro.perf.report import make_baseline
-    os.makedirs(args.out, exist_ok=True)
-    run_micro_suite = not args.macro_only and not args.chain_only
-    run_macro_suite = not args.micro_only and not args.chain_only
-    run_chain_suite = (not args.micro_only and not args.macro_only
-                       and not args.skip_chain)
-    baseline_report = None
-    if args.check is not None and os.path.exists(args.baseline):
-        baseline_report = load_report(args.baseline)
-    micro = macro = chain = None
-    if run_micro_suite:
-        print("running micro benchmarks%s..."
-              % (" (quick)" if args.quick else ""))
-        micro = run_micro(quick=args.quick)
-        for name, row in sorted(micro["benchmarks"].items()):
-            extra = ""
-            if "pages_dirtied" in row:
-                extra = "  (%d pages dirtied)" % row["pages_dirtied"]
-            print("  %-28s %12.0f/s%s" % (name, row["per_sec"], extra))
-        write_report(os.path.join(args.out, "BENCH_micro.json"), micro)
-    if run_macro_suite:
-        if args.execs is not None:
-            execs = args.execs
-        elif baseline_report is not None:
-            # Gated runs must match the baseline's campaign config or
-            # the sim-clock comparison is meaningless (sim metrics are
-            # a pure function of the configuration).
-            execs = int((baseline_report.get("macro") or {}).get(
-                "execs", 2000))
-        else:
-            execs = 400 if args.quick else 2000
-        print("running macro benchmark: %s, seed %d, %d execs%s%s..."
-              % (args.target, args.seed, execs,
-                 ", sanitized" if args.sanitize_resets is not None else "",
-                 ", chain depth %d" % args.max_chain_depth
-                 if args.max_chain_depth > 1 else ""))
-        macro = run_macro(target=args.target, seed=args.seed, execs=execs,
-                          sanitize_every=args.sanitize_resets,
-                          max_chain_depth=args.max_chain_depth)
-        print("  %d execs in %.2fs wall (%.1f execs/s wall, "
-              "%.1f execs/s sim), %d edges"
-              % (macro["execs"], macro["wall_seconds"],
-                 macro["wall_execs_per_sec"], macro["sim_execs_per_sec"],
-                 macro["final_edges"]))
-        if baseline_report is not None:
-            # Recorded in the report so CI artifacts show whether the
-            # wall-rate gates were live on this runner or skipped for
-            # a host mismatch (the comparison prints the same verdict).
-            base_host = (baseline_report.get("macro") or {}).get("host")
-            macro["wall_gated"] = macro.get("host") == base_host
-        write_report(os.path.join(args.out, "BENCH_fuzz.json"), macro)
-        if args.sanitize_resets is not None:
-            print("  reset sanitizer: %d checks, %d leaks"
-                  % (macro["sanitizer_checks"], macro["sanitizer_leaks"]))
-            if macro["sanitizer_leaks"]:
-                print("FAIL: sanitized bench run reported reset leaks",
-                      file=sys.stderr)
-                return 1
-    if run_chain_suite:
-        if args.chain_execs is not None:
-            chain_execs = args.chain_execs
-        elif baseline_report is not None:
-            chain_execs = int((baseline_report.get("chain") or {}).get(
-                "execs", 600))
-        else:
-            chain_execs = 300 if args.quick else 600
-        print("running chain scenario: lightftp deep session, seed %d, "
-              "%d execs per leg, bandit depth %d..."
-              % (args.seed, chain_execs, args.chain_depth))
-        chain = run_chain_macro(seed=args.seed, execs=chain_execs,
-                                depth=args.chain_depth)
-        for leg in ("ref", "chain"):
-            row = chain[leg]
-            print("  %-26s %8.1f execs/s wall  %d edges"
-                  % ("%s (%s, depth %d)" % (leg, row["policy"],
-                                            row["max_chain_depth"]),
-                     row["wall_execs_per_sec"], row["final_edges"]))
-        print("  chain speedup: %.2fx" % chain["chain_speedup"])
-        write_report(os.path.join(args.out, "BENCH_chain.json"), chain)
-    if args.write_baseline:
-        write_report(args.baseline, make_baseline(micro, macro, chain))
-        print("wrote baseline %s" % args.baseline)
-    if args.check is not None:
-        if baseline_report is None:
-            print("no baseline at %s (use --write-baseline first)"
-                  % args.baseline, file=sys.stderr)
-            return 2
-        comparison = compare_reports(micro, macro,
-                                     baseline_report, args.check,
-                                     chain=chain)
-        print(comparison.format_text())
-        if not comparison.ok:
-            return 1
     return 0
 
 
@@ -637,9 +528,9 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     import os
 
     from repro.analysis.diagnostics import Report
-    from repro.perf import load_report, write_report
     from repro.perf.profiler import (compare_profile, format_profile,
-                                     run_profile, static_disagreement)
+                                     load_report, run_profile,
+                                     static_disagreement, write_report)
     from repro.targets import PROFILES
     if args.target not in PROFILES:
         print("unknown target %r (see `repro targets`)" % args.target,
@@ -790,54 +681,8 @@ def build_parser() -> argparse.ArgumentParser:
     mario.add_argument("--execs", type=int, default=10000)
 
     bench = sub.add_parser(
-        "bench", help="hot-path benchmarks (docs/performance.md)")
-    bench.add_argument("--matrix", action="store_true",
-                       help="run the ProFuzzBench campaign matrix "
-                            "(Tables 1-3) instead of the perf harness")
-    bench.add_argument("--targets", help="with --matrix: comma list "
-                                         "(default: all 13)")
-    bench.add_argument("--quick", action="store_true",
-                       help="short measurement windows (CI smoke)")
-    bench.add_argument("--micro", dest="micro_only", action="store_true",
-                       help="run only the micro suite")
-    bench.add_argument("--macro", dest="macro_only", action="store_true",
-                       help="run only the macro campaign benchmark")
-    bench.add_argument("--target", default="lighttpd",
-                       help="macro benchmark target (default: lighttpd)")
-    bench.add_argument("--seed", type=int, default=1,
-                       help="macro campaign seed (default: 1)")
-    bench.add_argument("--execs", type=int, default=None,
-                       help="macro campaign execs "
-                            "(default: 2000, or 400 with --quick)")
-    bench.add_argument("--max-chain-depth", type=int, default=1,
-                       metavar="K",
-                       help="overlay-chain depth for the macro campaign "
-                            "(default: 1, the paper's single incremental "
-                            "snapshot)")
-    bench.add_argument("--chain", dest="chain_only", action="store_true",
-                       help="run only the deep-state chain scenario")
-    bench.add_argument("--skip-chain", action="store_true",
-                       help="skip the deep-state chain scenario")
-    bench.add_argument("--chain-depth", type=int, default=4, metavar="K",
-                       help="chain-scenario bandit depth (default: 4)")
-    bench.add_argument("--chain-execs", type=int, default=None,
-                       help="chain-scenario execs per leg "
-                            "(default: 600, or 300 with --quick)")
-    bench.add_argument("--out", default=".",
-                       help="directory for BENCH_*.json (default: .)")
-    bench.add_argument("--baseline", default="BENCH_baseline.json",
-                       help="baseline path for --check/--write-baseline")
-    bench.add_argument("--check", type=float, default=None, metavar="PCT",
-                       help="gate against the baseline; exit 1 when a "
-                            "wall rate regresses or a sim metric drifts "
-                            "by more than PCT percent")
-    bench.add_argument("--write-baseline", action="store_true",
-                       help="save this run as the new baseline")
-    bench.add_argument("--sanitize-resets", nargs="?", const=250, type=int,
-                       default=None, metavar="N",
-                       help="arm the runtime reset sanitizer every N "
-                            "execs during the macro run (default N: 250); "
-                            "exits 1 on any leak")
+        "bench", help="ProFuzzBench campaign matrix (Tables 1-3)")
+    bench.add_argument("--targets", help="comma list (default: all 13)")
 
     replay = sub.add_parser("replay", help="replay a .nyx input")
     replay.add_argument("target")

@@ -1,25 +1,13 @@
-"""Performance measurement for the execute-reset hot path.
-
-The ROADMAP's north star ("as fast as the hardware allows") needs a
-ruler before it needs a faster engine: this package provides
-wall-clock-instrumented micro and macro benchmarks plus a baseline
-comparison/regression gate, surfaced as ``repro bench``.
+"""Sim-cost profiling for the execute-reset hot path (``repro profile``).
 
 Two clocks matter and must never be conflated:
 
 * **sim clock** — the deterministic cost-model time every reproduced
   table and figure reports.  Optimizations must leave it untouched.
 * **wall clock** — host CPU time actually burned per execution.  This
-  is what the hot-path work in ``vm/memory.py`` / ``vm/snapshot.py``
-  optimizes, and what the benchmarks here measure.
+  package never reads it: wall time is measured by the nyxbench
+  harness (``nyxbench/``), outside the program.
 
-See docs/performance.md for how to run and read the reports.
+:mod:`repro.perf.profiler` attributes sim cost per site and gates it
+against a committed budget (NYX076/NYX077).  See docs/performance.md.
 """
-
-from repro.perf.macro import run_chain_macro, run_macro
-from repro.perf.micro import run_micro
-from repro.perf.profiler import run_profile
-from repro.perf.report import (compare_reports, load_report, write_report)
-
-__all__ = ["run_macro", "run_chain_macro", "run_micro", "run_profile",
-           "compare_reports", "load_report", "write_report"]

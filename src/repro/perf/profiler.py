@@ -190,6 +190,18 @@ def profile_checksum(sites: Dict[str, Dict[str, float]]) -> str:
     return hashlib.sha1(payload.encode("utf-8")).hexdigest()
 
 
+def write_report(path: str, payload: Dict[str, object]) -> None:
+    """Persist a benchmark payload as stable, diffable JSON."""
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(payload, handle, indent=2, sort_keys=True)
+        handle.write("\n")
+
+
+def load_report(path: str) -> Dict[str, object]:
+    with open(path, "r", encoding="utf-8") as handle:
+        return json.load(handle)
+
+
 def run_profile(target: str = "lighttpd", seed: int = 1,
                 execs: int = 400, policy: str = "aggressive") -> Dict[str, object]:
     """Run one seeded campaign under instrumentation; report sim costs.
@@ -199,7 +211,7 @@ def run_profile(target: str = "lighttpd", seed: int = 1,
     wrappers did not perturb the campaign.
     """
     from repro.fuzz.campaign import build_campaign
-    from repro.perf.macro import stats_checksum
+    from repro.fuzz.stats import stats_checksum
     from repro.targets import PROFILES
     profile = PROFILES[target]
 

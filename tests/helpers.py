@@ -186,3 +186,23 @@ def alternating(n: int) -> int:
         else:
             total -= i
     return total
+
+
+# -- the 22-packet lightftp session seed (anchors and chain tests) ----------
+
+#: One full anonymous FTP session: a long message exchange, the regime
+#: overlay snapshot chains exist for.
+DEEP_SESSION = tuple(
+    cmd + b"\r\n" for cmd in (
+        b"USER anonymous", b"PASS guest", b"SYST", b"FEAT", b"PWD",
+        b"TYPE I", b"CWD /srv/ftp", b"LIST", b"SIZE readme.txt",
+        b"RETR readme.txt", b"MKD upload", b"CWD upload", b"PWD",
+        b"CDUP", b"STAT", b"NOOP", b"HELP", b"SIZE motd",
+        b"RETR motd", b"DELE upload", b"LIST", b"QUIT",
+    ))
+
+
+def deep_session_input():
+    """The session seed as a :class:`FuzzInput` (fresh copy)."""
+    from repro.fuzz.input import packets_input
+    return packets_input(list(DEEP_SESSION))

@@ -5,6 +5,11 @@ Coverage sites name a module, a line and a column, never a file path
 (:mod:`repro.coverage.instrument`), so a seeded campaign's
 ``stats_checksum`` is the same wherever and on whichever supported
 Python it runs.
+
+``BENCH_baseline.json`` holds each anchored campaign's config, its
+``stats_checksum`` and its ``final_edges``.  A change that should not
+alter fuzzing behaviour leaves them alone; a deliberate move is an
+edit to that file, with its reason in CHANGES.md.
 """
 
 import json
@@ -14,19 +19,47 @@ import shutil
 import subprocess
 import sys
 
-from repro.perf.macro import run_macro
+import pytest
+
+from repro.fuzz.campaign import build_campaign
+from repro.fuzz.stats import stats_checksum
+from repro.targets import PROFILES
+from tests.helpers import deep_session_input
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
+with open(ROOT / "BENCH_baseline.json", encoding="utf-8") as _handle:
+    ANCHORS = json.load(_handle)
+
+
+def _run(target, seed, execs, policy, max_chain_depth, seeds=None):
+    """``(stats_checksum, final_edges)`` of one seeded campaign."""
+    handles = build_campaign(PROFILES[target], policy=policy, seed=seed,
+                             time_budget=1e9, max_execs=execs,
+                             max_chain_depth=max_chain_depth, seeds=seeds)
+    stats = handles.fuzzer.run_campaign()
+    return stats_checksum(stats), stats.final_edges
+
 
 def test_macro_anchor_matches_the_committed_baseline():
-    with open(ROOT / "BENCH_baseline.json", encoding="utf-8") as handle:
-        anchor = json.load(handle)["macro"]
-    macro = run_macro(target=anchor["target"], seed=anchor["seed"],
-                      execs=anchor["execs"], policy=anchor["policy"],
-                      max_chain_depth=anchor["max_chain_depth"])
-    assert (macro["stats_checksum"], macro["final_edges"]) == (
-        anchor["stats_checksum"], anchor["final_edges"])
+    anchor = ANCHORS["macro"]
+    observed = _run(anchor["target"], anchor["seed"], anchor["execs"],
+                    anchor["policy"], anchor["max_chain_depth"])
+    assert observed == (anchor["stats_checksum"], anchor["final_edges"]), (
+        "macro campaign gave checksum %s with %d edges" % observed)
+
+
+@pytest.mark.parametrize("leg", ["ref", "chain"])
+def test_chain_leg_anchor_matches_the_committed_baseline(leg):
+    """The 22-packet lightftp session through the single incremental
+    snapshot (``ref``) and through bandit-placed chains (``chain``)."""
+    scenario = ANCHORS["chain"]
+    anchor = scenario[leg]
+    observed = _run(scenario["target"], scenario["seed"], scenario["execs"],
+                    anchor["policy"], anchor["max_chain_depth"],
+                    seeds=[deep_session_input()])
+    assert observed == (anchor["stats_checksum"], anchor["final_edges"]), (
+        "%s leg gave checksum %s with %d edges" % ((leg,) + observed))
 
 
 CAMPAIGN = """\

@@ -1,10 +1,12 @@
 """Chain-aware fuzzing tests: bandit placement, executor integration,
-the depth-1 identity, and the chain bench scenario/gate.
+the depth cap, and resume equivalence on the 22-packet FTP session.
 
-The load-bearing property here is the last one in ISSUE terms: with
-``max_chain_depth`` left at 1 a campaign must be byte-identical to a
-build that never heard of chains — every chain feature hides behind
-the depth knob.
+The load-bearing property is the one ``SnapshotPolicy.choose_chain``
+documents: a chain-unaware policy places one snapshot whatever the
+depth cap, so its campaign is byte-identical at any depth — every chain
+feature hides behind a chain-aware policy and the depth knob.  The
+per-leg checksums of the session campaigns are anchored in
+``tests/test_anchors.py``.
 """
 
 import pytest
@@ -13,7 +15,9 @@ from repro.fuzz.input import packets_input
 from repro.fuzz.policies import (BanditPolicy, MIN_PACKETS_FOR_SNAPSHOT,
                                  make_policy)
 from repro.fuzz.queue import QueueEntry
+from repro.fuzz.stats import stats_checksum
 from repro.sim.rng import DeterministicRandom
+from tests.helpers import deep_session_input
 
 
 def _entry(num_packets):
@@ -120,15 +124,23 @@ def _campaign_stats(policy="aggressive", seed=3, execs=150,
 
 
 class TestChainCampaigns:
-    def test_depth_one_is_byte_identical_to_default(self):
-        """--max-chain-depth 1 must not perturb the sim trajectory."""
-        from repro.perf.macro import stats_checksum
-        plain, _h = _campaign_stats()
-        clamped, _h = _campaign_stats(max_chain_depth=1)
-        assert stats_checksum(plain) == stats_checksum(clamped)
+    def test_chain_unaware_policies_ignore_the_depth_cap(self):
+        """A policy without ``choose_chain`` of its own runs the same
+        campaign at depth 4 as at depth 1, and never pushes a chain."""
+        configs = (
+            dict(policy="aggressive", seed=3, execs=150, target="lighttpd"),
+            dict(policy="balanced", seed=1, execs=600, target="lightftp",
+                 seeds=[deep_session_input()]),
+        )
+        for config in configs:
+            runs = []
+            for depth in (4, 1):
+                stats, _h = _campaign_stats(max_chain_depth=depth, **config)
+                assert stats.chain_pushes == 0, (config["policy"], depth)
+                runs.append(stats_checksum(stats))
+            assert runs[0] == runs[1], config["policy"]
 
     def test_bandit_campaign_exercises_chains(self):
-        from repro.perf.macro import deep_session_input
         stats, handles = _campaign_stats(
             policy="bandit", seed=1, execs=120, target="lightftp",
             seeds=[deep_session_input()], max_chain_depth=3)
@@ -139,7 +151,6 @@ class TestChainCampaigns:
         assert snap.corruption_detected == 0
 
     def test_commit_at_cap_bounds_chain_length(self):
-        from repro.perf.macro import deep_session_input
         stats, handles = _campaign_stats(
             policy="bandit", seed=1, execs=120, target="lightftp",
             seeds=[deep_session_input()], max_chain_depth=2)
@@ -152,7 +163,6 @@ class TestChainCampaigns:
         # heal/rebuild/degrade ladder and abort the campaign; and a
         # one-layer chain emptied by a failed rebuild used to abort it
         # with "no incremental snapshot to fuzz from".
-        from repro.perf.macro import deep_session_input
         for policy, depth in (("bandit", 3), ("balanced", 1)):
             stats, handles = _campaign_stats(
                 policy=policy, seed=0, execs=200, target="lightftp",
@@ -190,7 +200,6 @@ class TestResumeEquivalence:
 
     def test_suffix_runs_match_cold_runs(self):
         from repro.fuzz.campaign import build_campaign
-        from repro.perf.macro import deep_session_input
         from repro.targets import PROFILES
         handles = build_campaign(PROFILES["lightftp"], policy="none",
                                  seed=0, time_budget=1e9, max_chain_depth=4)
@@ -224,81 +233,3 @@ class TestResumeEquivalence:
                     cases.append((points, depth, payload, warm == cold))
         assert len(cases) == 24
         assert [case for case in cases if not case[-1]] == []
-
-
-class TestChainBench:
-    def test_chain_macro_payload_shape(self):
-        from repro.perf.macro import run_chain_macro
-        payload = run_chain_macro(execs=40)
-        assert payload["kind"] == "chain_macro"
-        assert payload["session_packets"] == 22
-        assert payload["ref"]["policy"] == "balanced"
-        assert payload["chain"]["policy"] == "bandit"
-        assert payload["chain"]["max_chain_depth"] == payload["depth"]
-        assert payload["chain_speedup"] > 0
-        assert payload["chain"]["host_counters"]["chain_restores"] > 0
-
-    def test_chain_macro_is_deterministic_on_sim_clock(self):
-        from repro.perf.macro import run_chain_macro
-        a = run_chain_macro(execs=40)
-        b = run_chain_macro(execs=40)
-        for leg in ("ref", "chain"):
-            assert a[leg]["stats_checksum"] == b[leg]["stats_checksum"]
-            assert a[leg]["sim_execs_per_sec"] == b[leg]["sim_execs_per_sec"]
-
-    def _payload(self, **overrides):
-        base = {
-            "kind": "chain_macro", "target": "lightftp", "seed": 1,
-            "execs": 600, "depth": 4, "chain_speedup": 1.7,
-            "host": {"python": "3.12", "platform": "test"},
-            "ref": {"sim_execs_per_sec": 800.0, "final_edges": 216,
-                    "stats_checksum": "aaaa"},
-            "chain": {"sim_execs_per_sec": 1400.0, "final_edges": 213,
-                      "stats_checksum": "bbbb"},
-        }
-        base.update(overrides)
-        return base
-
-    def test_compare_chain_clean_pass(self):
-        from repro.perf.report import Comparison, compare_chain
-        out = Comparison()
-        compare_chain(self._payload(), self._payload(), 20.0, out)
-        assert out.ok
-
-    def test_compare_chain_checksum_mismatch_is_hard(self):
-        from repro.perf.report import Comparison, compare_chain
-        out = Comparison()
-        current = self._payload()
-        current["chain"] = dict(current["chain"], stats_checksum="cccc")
-        compare_chain(current, self._payload(), 20.0, out)
-        assert not out.ok
-        assert any("checksum" in line for line in out.regressions)
-
-    def test_compare_chain_config_mismatch_skips_sim(self):
-        from repro.perf.report import Comparison, compare_chain
-        out = Comparison()
-        current = self._payload(execs=300)
-        current["chain"] = dict(current["chain"], stats_checksum="cccc")
-        compare_chain(current, self._payload(), 20.0, out)
-        assert out.ok  # sim gates skipped, nothing regresses
-
-    def test_compare_chain_speedup_gated_on_same_host_only(self):
-        from repro.perf.report import Comparison, compare_chain
-        out = Comparison()
-        compare_chain(self._payload(chain_speedup=1.0),
-                      self._payload(), 20.0, out)
-        assert not out.ok
-        out = Comparison()
-        other = self._payload(chain_speedup=1.0,
-                              host={"python": "3.12", "platform": "other"})
-        compare_chain(other, self._payload(), 20.0, out)
-        assert out.ok
-        assert not out.wall_gated
-
-    def test_baseline_bundles_chain_section(self):
-        from repro.perf.report import compare_reports, make_baseline
-        baseline = make_baseline(None, None, self._payload())
-        assert "chain" in baseline
-        out = compare_reports(None, None, baseline, 20.0,
-                              chain=self._payload())
-        assert out.ok

@@ -17,7 +17,7 @@ from repro.fuzz.executor import NyxExecutor
 from repro.fuzz.input import FuzzInput, packets_input
 from repro.fuzz.stats import CampaignStats
 from repro.guestos.kernel import Kernel
-from repro.perf.macro import stats_checksum
+from repro.fuzz.stats import stats_checksum
 from repro.spec.bytecode import Op
 from repro.targets.lightftp import PROFILE as LIGHTFTP
 from repro.vm.machine import Machine

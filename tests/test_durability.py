@@ -27,7 +27,7 @@ from repro.fuzz.journal import (CheckpointStore, DurabilityError,
                                 read_manifest, resume_campaign,
                                 salvage_corpus_blobs, scan_journal,
                                 write_manifest)
-from repro.perf.macro import stats_checksum
+from repro.fuzz.stats import stats_checksum
 from repro.spec.bytecode import SpecError, serialize
 from repro.spec.nodes import default_network_spec
 from repro.targets import PROFILES

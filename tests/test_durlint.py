@@ -33,7 +33,7 @@ from repro.fuzz.journal import (CheckpointStore, DurableCampaign,
                                 DurableParallelCampaign, FRAME_KINDS,
                                 Journal, campaign_manifest, scan_journal)
 from repro.fuzz.stats import CampaignStats
-from repro.perf.macro import stats_checksum
+from repro.fuzz.stats import stats_checksum
 from repro.targets import PROFILES
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"

@@ -81,6 +81,13 @@ class TestCli:
     def test_fuzz_command_unknown_target(self, capsys):
         assert main(["fuzz", "doom"]) == 2
 
+    def test_bench_command_unknown_target(self, capsys):
+        assert main(["bench", "--targets", "lightftp,nosuch"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == ("unknown target 'nosuch' "
+                                "(see `repro targets`)\n")
+        assert captured.out == ""  # rejected before the matrix starts
+
     def test_fuzz_command_runs(self, capsys, tmp_path):
         code = main(["fuzz", "lightftp", "--execs", "40", "--time", "5",
                      "--seed", "3", "--out", str(tmp_path / "c")])

@@ -15,11 +15,13 @@ import sys
 
 from repro.analysis.hotlint import analyze_hot_source
 from repro.cli import main as cli_main
-from repro.perf.macro import run_macro
+from repro.fuzz.campaign import build_campaign
+from repro.fuzz.stats import stats_checksum
 from repro.perf.profiler import (CONFIG_KEYS, ProfileCollector,
                                  compare_profile, format_profile,
                                  instrument, profile_checksum, run_profile,
                                  static_disagreement)
+from repro.targets import PROFILES
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 BASELINE = GOLDEN / "profile_baseline.json"
@@ -245,8 +247,10 @@ class TestStaticDisagreement:
 class TestRealCampaign:
     def test_wrappers_do_not_perturb_the_sim(self):
         profiled = run_profile(execs=120)
-        bare = run_macro(execs=120, seed=1, policy="aggressive")
-        assert profiled["stats_checksum"] == bare["stats_checksum"]
+        bare = build_campaign(PROFILES["lighttpd"], policy="aggressive",
+                              seed=1, time_budget=1e9, max_execs=120)
+        assert profiled["stats_checksum"] == stats_checksum(
+            bare.fuzzer.run_campaign())
 
     def test_profile_is_deterministic(self):
         a = run_profile(execs=120)
@@ -274,57 +278,6 @@ class TestRealCampaign:
                        key=lambda s: baseline["sites"][s]["excl"])
         assert heaviest in text
         assert baseline["profile_checksum"] in text
-
-
-def _macro_payload(**over):
-    payload = {"target": "lighttpd", "seed": 1, "policy": "aggressive",
-               "execs": 100, "wall_execs_per_sec": 100.0,
-               "sim_execs_per_sec": 5.0, "final_edges": 10,
-               "host": {"python": "3.11.0", "platform": "boxA"}}
-    payload.update(over)
-    return payload
-
-
-class TestWallGateSkip:
-    """`bench --check` off the recording host: explicit skip line and
-    a ``wall_gated`` verdict instead of a silent pass."""
-
-    def test_host_mismatch_emits_explicit_line(self):
-        from repro.perf.report import Comparison, compare_macro
-        current = _macro_payload(wall_execs_per_sec=10.0)  # 10x slower
-        baseline = _macro_payload(
-            host={"python": "3.12.0", "platform": "boxA"})
-        out = Comparison()
-        compare_macro(current, baseline, 10.0, out)
-        assert out.wall_gated is False
-        text = out.format_text()
-        assert "wall gates skipped (host mismatch:" in text
-        assert "'3.11.0'" in text and "'3.12.0'" in text
-        assert out.ok  # the wall collapse is reported, not gated
-
-    def test_same_host_keeps_the_gate_live(self):
-        from repro.perf.report import Comparison, compare_macro
-        current = _macro_payload(wall_execs_per_sec=10.0)
-        out = Comparison()
-        compare_macro(current, _macro_payload(), 10.0, out)
-        assert out.wall_gated is True
-        assert not out.ok
-        assert "wall gates skipped" not in out.format_text()
-
-    def test_micro_mismatch_announces_once(self):
-        from repro.perf.report import Comparison, compare_micro
-        rows = {"benchmarks": {"restore": {"per_sec": 100.0},
-                               "mutate": {"per_sec": 100.0}},
-                "host": {"python": "3.11.0", "platform": "boxA"}}
-        baseline = {"benchmarks": {"restore": {"per_sec": 900.0},
-                                   "mutate": {"per_sec": 900.0}},
-                    "host": {"python": "3.11.0", "platform": "boxB"}}
-        out = Comparison()
-        compare_micro(rows, baseline, 10.0, out)
-        assert out.wall_gated is False and out.ok
-        text = out.format_text()
-        assert text.count("wall gates skipped") == 1
-        assert "'boxA'" in text and "'boxB'" in text
 
 
 class TestCli:
