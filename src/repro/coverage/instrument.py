@@ -41,6 +41,7 @@ never read.
 
 from __future__ import annotations
 
+import _imp
 import ast
 import hashlib
 import marshal
@@ -219,7 +220,12 @@ def instrumented_code(module: str, path: str, source: bytes):
         with open(cached, "rb") as handle:
             data = handle.read()
         if data[:len(key)] == key:
-            return marshal.loads(data[len(key):])
+            code = marshal.loads(data[len(key):])
+            # The key leaves the path out, so the cache may come from
+            # another checkout: name this file, as CPython's own loader
+            # does for every .pyc it reads.
+            _imp._fix_co_filename(code, path)
+            return code
     except (OSError, EOFError, ValueError, TypeError):
         pass  # missing or damaged: rebuild it
     code = compile_instrumented(source, path, module)

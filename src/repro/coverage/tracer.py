@@ -17,10 +17,11 @@ a record phase and a fold phase:
   block to a flat stream — no edge arithmetic, no interpreter hook;
   :meth:`TracerCore.run` points the process-wide sink at the stream
   for the trace window;
-* :meth:`TracerCore.take_trace` folds the site stream into the sparse
-  edge trace once per execution, vectorized with numpy when available
-  (the pure Python fallback computes the identical dict), memoized on
-  the packed stream under an LRU cap;
+* :meth:`TracerCore.take_trace` packs the site stream as 32-bit
+  lanes and folds it into the sparse edge trace once per execution,
+  every edge at once with big-integer arithmetic on the packed buffer
+  (:meth:`TracerCore._fold_packed`), memoized on the packed stream
+  under an LRU cap;
 * the executor's prefix-trace elision suspends collection across an
   op prefix that a previous recording already proved deterministic and
   seeds :meth:`take_trace` with the recorded prefix fold instead
@@ -30,25 +31,13 @@ a record phase and a fold phase:
 
 from __future__ import annotations
 
+import sys
 from array import array as _array
-from collections import OrderedDict
+from collections import OrderedDict, _count_elements
 from typing import Callable, Dict, List, Optional
 
 from repro.coverage.bitmap import MAP_SIZE
 from repro.coverage.instrument import DISCARD, SINK
-
-try:  # Optional acceleration for the per-exec fold; results identical.
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is normally available
-    _np = None
-
-try:  # C-level "count into a dict" helper used by Counter itself.
-    from collections import _count_elements
-except ImportError:  # pragma: no cover - CPython always has it
-    def _count_elements(mapping: Dict[int, int], iterable) -> None:
-        get = mapping.get
-        for item in iterable:
-            mapping[item] = get(item, 0) + 1
 
 #: Bitmap region where IJON state annotations land (distinct from the
 #: hash range used by code edges only probabilistically, like IJON).
@@ -60,13 +49,36 @@ IJON_BASE = 0xF000
 #: memo without bound (evictions are counted into ``CampaignStats``).
 FOLD_MEMO_LIMIT = 8192
 
+#: Bytes per site in a packed stream (recordings, memo keys): one
+#: little-endian 32-bit lane.
+SITE_BYTES = 4
+
+# The fold keeps every lane's low bits with one mask, so the map must
+# be a power of two below lane bit 31, where the fold's shift carries
+# each site's own bit 0.
+if (MAP_SIZE & (MAP_SIZE - 1) or not 0 < MAP_SIZE <= 1 << 31
+        or _array("I").itemsize != SITE_BYTES):
+    raise ValueError("the lane fold needs 4-byte array('I') items and a "
+                     "power-of-two MAP_SIZE <= 2**31, not %d" % MAP_SIZE)
+
+#: One lane of the fold's mask: the low ``MAP_SIZE - 1`` bits.
+_LANE_MASK = (MAP_SIZE - 1).to_bytes(SITE_BYTES, "little")
+
+
+def _lanes(data) -> _array:
+    """``array("I", data)``, byte-swapped on a big-endian host: site
+    values in, little-endian lanes out (``.tobytes()``); or
+    little-endian lane bytes in, their values out."""
+    lanes = _array("I", data)
+    if sys.byteorder == "big":
+        lanes.byteswap()
+    return lanes
+
 
 class TracerCore:
     """Site stream, fold pipeline, IJON slots and prefix seeding."""
 
-    def __init__(self, map_size: int = MAP_SIZE,
-                 fold_memo_limit: int = FOLD_MEMO_LIMIT) -> None:
-        self.map_size = map_size
+    def __init__(self, fold_memo_limit: int = FOLD_MEMO_LIMIT) -> None:
         self.fold_memo_limit = fold_memo_limit
         #: Sparse trace of the last folded execution (edge -> count);
         #: refreshed by :meth:`take_trace`.
@@ -78,8 +90,8 @@ class TracerCore:
         #: IJON state hits land directly on edges (they bypass the
         #: prev-site chain), so they live outside the site stream.
         self._ijon: Dict[int, int] = {}
-        #: Fold memo: packed site stream (+ seed tag) -> folded edge
-        #: trace, LRU-bounded.  Keying on the exact packed stream keeps
+        #: Fold memo: packed site stream -> folded edge trace,
+        #: LRU-bounded.  Keying on the exact packed stream keeps
         #: the memo collision-proof (bytes equality compares it all).
         self._fold_cache: "OrderedDict[bytes, Dict[int, int]]" = OrderedDict()
         #: Entries evicted from the fold memo (stamped into
@@ -110,23 +122,15 @@ class TracerCore:
 
         Returns a fresh dict each call; the stream itself is only
         cleared by :meth:`begin`, so repeated calls agree.  When a
-        prefix fold was seeded via :meth:`elide_resume`, the live
-        suffix is folded with the prefix's last site as its previous
-        site and merged — byte-identical to having traced the whole
-        run.
+        prefix was seeded via :meth:`elide_resume`, the recorded prefix
+        and the live suffix are folded as one stream — byte-identical
+        to having traced the whole run.
         """
-        # Bytes key: one C-level pack + hash instead of building and
-        # hashing a 300-element tuple per execution.
-        packed = _array("Q", self._stream).tobytes()
-        prefix = self._prefix_packed
-        if prefix:
-            # Folding the concatenation is identical to folding the
-            # prefix and then the suffix seeded with the prefix's last
-            # site (the edge chain just runs through the join) — and
-            # the joined stream is byte-equal to a fully-traced run's,
-            # so elided and traced runs share fold-memo entries.
-            packed = prefix + packed
-        trace = dict(self._fold_packed(packed, 0))
+        # Folding the concatenation runs the edge chain through the
+        # join, and the joined stream is byte-equal to a fully-traced
+        # run's, so elided and traced runs share fold-memo entries.
+        packed = self._prefix_packed + _lanes(self._stream).tobytes()
+        trace = dict(self._fold_packed(packed))
         self.last_packed = packed
         if self._ijon:
             get = trace.get
@@ -135,43 +139,34 @@ class TracerCore:
         self.trace = trace
         return trace
 
-    def _fold_packed(self, packed: bytes, prev: int) -> Dict[int, int]:
-        """Memoized fold of a packed site stream seeded with ``prev``.
+    def _fold_packed(self, packed: bytes) -> Dict[int, int]:
+        """Memoized fold of a packed site stream into ``{edge: hits}``,
+        edges in first-occurrence order.
 
-        Returns a shared dict — callers copy before mutating.  Seeded
-        folds get a tag byte in their memo key: a plain packed stream
-        is always a multiple of 8 bytes, so the 9-bytes-mod-8 tagged
-        key can never collide with an untagged one.
+        Returns a shared dict — callers copy before mutating.  Every
+        edge ``(site ^ (prev >> 1)) % MAP_SIZE`` (``prev`` starting at
+        0) comes out of three big-integer operations on the stream read
+        as one integer: lane *i* of ``stream << 31`` holds bits 1 and up
+        of site *i - 1* (zero for lane 0), and the bit of site *i* it
+        pushes into the lane's top bit falls outside the mask.
         """
         if not packed:
             return {}
-        key = packed if prev == 0 else (
-            b"\x01" + prev.to_bytes(8, "little") + packed)
         cache = self._fold_cache
-        cached = cache.get(key)
-        if cached is not None:
-            cache.move_to_end(key)
-            return cached
-        size = self.map_size
-        if _np is not None and len(packed) > 512:
-            sites = _np.frombuffer(packed, dtype=_np.uint64)
-            edges = _np.empty(len(sites), _np.uint64)
-            edges[0] = (int(sites[0]) ^ (prev >> 1)) % size
-            _np.bitwise_xor(sites[1:], sites[:-1] >> 1, out=edges[1:])
-            edges %= size
-            trace: Dict[int, int] = {}
-            _count_elements(trace, edges.tolist())
-        else:
-            trace = {}
-            trace_get = trace.get
-            for site in _array("Q", packed):
-                edge = (site ^ (prev >> 1)) % size
-                prev = site
-                trace[edge] = trace_get(edge, 0) + 1
+        trace = cache.get(packed)
+        if trace is not None:
+            cache.move_to_end(packed)
+            return trace
+        stream = int.from_bytes(packed, "little")
+        mask = int.from_bytes(_LANE_MASK * (len(packed) // SITE_BYTES),
+                              "little")
+        edges = (stream ^ (stream << 31)) & mask
+        trace = {}
+        _count_elements(trace, _lanes(edges.to_bytes(len(packed), "little")))
         if len(cache) >= self.fold_memo_limit:
             cache.popitem(last=False)
             self.fold_evictions += 1
-        cache[key] = trace
+        cache[packed] = trace
         return trace
 
     def ijon_set(self, slot: int) -> None:
@@ -183,7 +178,7 @@ class TracerCore:
         """
         if self._suspended:
             return
-        edge = (IJON_BASE + slot) % self.map_size
+        edge = (IJON_BASE + slot) % MAP_SIZE
         ijon = self._ijon
         ijon[edge] = ijon.get(edge, 0) + 1
 
@@ -201,7 +196,7 @@ class TracerCore:
     def prefix_site_count(self) -> int:
         """Sites covered by the seeded prefix, so boundary marks stay
         in full-stream coordinates after an elided resume."""
-        return len(self._prefix_packed) // 8
+        return len(self._prefix_packed) // SITE_BYTES
 
     def elide_suspend(self) -> None:
         """Stop collecting: a recorded deterministic prefix is being

@@ -55,7 +55,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.coverage.tracer import TracerCore
+from repro.coverage.tracer import SITE_BYTES, TracerCore
 from repro.emu.interceptor import Interceptor
 from repro.fuzz.input import FuzzInput
 from repro.guestos.errors import CrashReport, GuestError
@@ -449,11 +449,11 @@ class NyxExecutor:
         marks = rec.marks
         lo = marks[start]
         if until is None:
-            prefix = rec.packed[lo * 8:]
+            prefix = rec.packed[lo * SITE_BYTES:]
             ijon_at = rec.final_ijon
             elided = len(rec.ops) - start
         else:
-            prefix = rec.packed[lo * 8:marks[until] * 8]
+            prefix = rec.packed[lo * SITE_BYTES:marks[until] * SITE_BYTES]
             ijon_at = rec.ijon_marks[until]
             elided = until - start
         ijon_seed = ijon_at

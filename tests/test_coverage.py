@@ -1,12 +1,12 @@
 """Unit tests for the coverage bitmap and edge tracer."""
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.coverage.bitmap import (BUCKET_LOOKUP, CoverageMap, MAP_SIZE,
                                    classify_counts, count_bits)
-from repro.coverage.instrument import load
-from repro.coverage.tracer import TracerCore
+from repro.coverage.instrument import SINK, load
+from repro.coverage.tracer import SITE_BYTES, TracerCore
 
 from tests import helpers
 
@@ -167,3 +167,77 @@ class TestEdgeTracer:
         tracer.ijon_set(1)
         tracer.ijon_set(2)
         assert len(tracer.take_trace()) == 2
+
+
+# ----------------------------------------------------------------------
+# the fold against its reference loop
+# ----------------------------------------------------------------------
+
+def reference_fold(sites):
+    """AFL's edge fold as a plain loop: the definition the tracer's
+    lane fold must reproduce, key order included."""
+    trace = {}
+    prev = 0
+    for site in sites:
+        edge = (site ^ (prev >> 1)) % MAP_SIZE
+        prev = site
+        trace[edge] = trace.get(edge, 0) + 1
+    return trace
+
+
+def _emit(sites):
+    for site in sites:
+        SINK.hit(site)
+
+
+#: Any 32-bit site, with bits 16 and 31 set often: bit 16 is the last
+#: bit of the previous site an edge keeps, bit 31 a lane's top bit.
+SITES = st.one_of(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([0, 1, 1 << 16, 1 << 31, (1 << 31) | (1 << 16) | 1,
+                     2**32 - 1]))
+
+#: Streams of up to 64 sites, or longer than 4,096 (a drawn pattern,
+#: repeated, then a drawn tail).
+STREAMS = st.one_of(
+    st.lists(SITES, max_size=64),
+    st.builds(lambda pattern, tail: pattern * (4096 // len(pattern) + 1)
+              + tail,
+              st.lists(SITES, min_size=1, max_size=8),
+              st.lists(SITES, max_size=8)))
+
+
+class TestFold:
+    @given(STREAMS)
+    @example([])
+    @example([(1 << 31) | (1 << 16) | 1])
+    @example([1 << 16, 1 << 31, (1 << 17) | 1, 2**32 - 1])
+    @settings(max_examples=150)
+    def test_fold_equals_the_reference_loop(self, sites):
+        tracer = TracerCore()
+        tracer.begin()
+        tracer.run(_emit, sites)
+        trace = tracer.take_trace()
+        assert list(trace.items()) == list(reference_fold(sites).items())
+        # Recordings are little-endian 32-bit lanes on every host.
+        assert tracer.last_packed == b"".join(
+            site.to_bytes(SITE_BYTES, "little") for site in sites)
+
+    @given(STREAMS, st.data())
+    @settings(max_examples=60)
+    def test_recorded_prefix_joined_to_a_live_suffix(self, sites, data):
+        # Prefix elision: the recorded prefix is seeded and only the
+        # suffix is traced live; the fold runs through the join.
+        cut = data.draw(st.integers(0, len(sites)))
+        recorder = TracerCore()
+        recorder.begin()
+        recorder.run(_emit, sites)
+        whole = recorder.take_trace()
+        tracer = TracerCore()  # a fresh memo: the join is really folded
+        tracer.begin()
+        tracer.elide_suspend()
+        tracer.run(_emit, sites[:cut])
+        tracer.elide_resume(recorder.last_packed[:cut * SITE_BYTES])
+        tracer.run(_emit, sites[cut:])
+        assert list(tracer.take_trace().items()) == list(whole.items())
+        assert tracer.prefix_site_count == cut

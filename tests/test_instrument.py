@@ -267,6 +267,35 @@ class TestLoading:
         assert not [p for p in os.listdir(os.path.dirname(cached))
                     if p.endswith(".tmp")]
 
+    def test_cache_from_another_checkout_names_this_one(self, tmp_path):
+        # The cache key leaves the path out, so a copied or moved
+        # checkout (or a restored CI cache) serves code compiled at
+        # another path; its file names must still be this checkout's.
+        first = _copy_src(tmp_path / "a" / "src")
+        proc = _python(first, "import repro.targets.base", tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        second = tmp_path / "b" / "src"
+        shutil.copytree(first, second)  # __pycache__ included
+        source = second / "repro" / "targets" / "base.py"
+        assert os.path.exists(cache_path(str(source)))
+        proc = _python(second, textwrap.dedent("""\
+            import types
+            import repro.targets.base as m
+
+            def walk(code):
+                yield code
+                for const in code.co_consts:
+                    if isinstance(const, types.CodeType):
+                        yield from walk(const)
+
+            code = m.__loader__.get_code(m.__name__)
+            names = {c.co_filename for c in walk(code)}
+            names.add(m.MessageServer.poll.__code__.co_filename)
+            print("\\n".join(sorted(names)))
+            """), tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == [str(source)]
+
     def test_cache_follows_the_source(self, tmp_path, monkeypatch):
         monkeypatch.setattr(sys, "dont_write_bytecode", False)
         path = tmp_path / "m.py"
