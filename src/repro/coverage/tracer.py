@@ -226,9 +226,9 @@ class TracerCore:
 
     # -- the trace window ------------------------------------------------------
 
-    def run(self, fn: Callable, *args) -> None:  # nyx: hot
-        """Run ``fn(*args)`` with the instrumented code's sites going to
-        this tracer's stream.
+    def run(self, fn: Callable, *args):  # nyx: hot
+        """Return ``fn(*args)``, run with the instrumented code's sites
+        going to this tracer's stream.
 
         Restores the sink's previous target on exit, so windows nest.
         While suspended (prefix elision), the sink discards.
@@ -237,6 +237,6 @@ class TracerCore:
         previous = sink.hit
         sink.hit = DISCARD if self._suspended else self._append
         try:
-            fn(*args)
+            return fn(*args)
         finally:
             sink.hit = previous

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.emu.surface import AttackSurface, SurfaceMode
-from repro.guestos.errors import Errno, GuestError
+from repro.guestos.errors import Errno, GuestError, NoFuzzPacket
 from repro.guestos.sockets import EXTERNAL_PEER, SockState, SockType, Socket
 
 
@@ -34,6 +34,17 @@ class _ConnState:
     closed_by_fuzzer: bool = False
     packets_delivered: int = 0
     responses: List[bytes] = field(default_factory=list)
+
+
+def clone_conns(conns: Dict[int, _ConnState]) -> Dict[int, _ConnState]:
+    """An independent copy of per-connection state, as deep as
+    ``copy.deepcopy``'s: packets and responses are immutable ``bytes``,
+    so fresh lists suffice."""
+    return {conn_id: _ConnState(state.conn_id, state.sid, list(state.queue),
+                                state.closed_by_fuzzer,
+                                state.packets_delivered,
+                                list(state.responses))
+            for conn_id, state in conns.items()}
 
 
 class Interceptor:
@@ -272,7 +283,7 @@ class Interceptor:
         if not state.queue:
             if state.closed_by_fuzzer:
                 return (b"", None)
-            raise GuestError(Errno.EAGAIN, "no fuzz packet pending")
+            raise NoFuzzPacket
         # Faults disrupt *deliveries*: a speculative recv on an idle
         # connection already sees EAGAIN naturally and must not burn a
         # fault decision (targets poll far more often than data lands).

@@ -50,13 +50,12 @@ frames) register extra op handlers.
 
 from __future__ import annotations
 
-import copy
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.coverage.tracer import SITE_BYTES, TracerCore
-from repro.emu.interceptor import Interceptor
+from repro.emu.interceptor import Interceptor, clone_conns
 from repro.fuzz.input import FuzzInput
 from repro.guestos.errors import CrashReport, GuestError
 from repro.guestos.kernel import Kernel
@@ -295,7 +294,7 @@ class NyxExecutor:
         # exactly as it was at the snapshot point.  Suffix runs skip
         # reset_for_test (the snapshot point is mid-test), so stale
         # surface sockets from the previous suffix run are pruned here.
-        self.interceptor._conns = copy.deepcopy(state.conns)
+        self.interceptor._conns = clone_conns(state.conns)
         self.interceptor._sid_to_conn = dict(state.sid_to_conn)
         self.interceptor.reset_stale_surface()
         result = self._run(input_, start=state.resume_index,
@@ -695,7 +694,7 @@ class NyxExecutor:
             self._chain_nodes = []
         self._chain_nodes.append(_SuffixState(
             resume_index=resume_index,
-            conns=copy.deepcopy(self.interceptor._conns),
+            conns=clone_conns(self.interceptor._conns),
             sid_to_conn=dict(self.interceptor._sid_to_conn),
             values_produced=values,
             base_input=input_.copy(),

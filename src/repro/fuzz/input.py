@@ -28,16 +28,21 @@ class FuzzInput:
     parent_id: Optional[int] = None
 
     def copy(self) -> "FuzzInput":
-        return FuzzInput([Op(o.node, o.refs, o.args) for o in self.ops],
-                         origin=self.origin, parent_id=self.parent_id)
+        """A copy with its own op list; the (immutable) ops are shared."""
+        return FuzzInput(list(self.ops), origin=self.origin,
+                         parent_id=self.parent_id)
 
     # -- packet structure ----------------------------------------------------
 
     def packet_indices(self) -> List[int]:
         """Op indices that carry payload data (mutable packets)."""
-        return [i for i, op in enumerate(self.ops)
-                if op.args and any(isinstance(a, (bytes, bytearray))
-                                   for a in op.args)]
+        indices = []
+        for index, op in enumerate(self.ops):
+            for arg in op.args:
+                if isinstance(arg, (bytes, bytearray)):
+                    indices.append(index)
+                    break
+        return indices
 
     @property
     def num_packets(self) -> int:
@@ -54,7 +59,8 @@ class FuzzInput:
         raise ValueError("op %d carries no payload" % op_index)
 
     def with_payload(self, op_index: int, payload: bytes) -> None:
-        """Replace the (single) payload arg of an op, in place."""
+        """Replace op ``op_index`` with a copy whose (first) payload arg
+        is ``payload``; other inputs sharing the old op keep it."""
         op = self.ops[op_index]
         new_args = []
         replaced = False
@@ -66,7 +72,7 @@ class FuzzInput:
                 new_args.append(arg)
         if not replaced:
             raise ValueError("op %d carries no payload" % op_index)
-        op.args = tuple(new_args)
+        self.ops[op_index] = Op(op.node, op.refs, tuple(new_args))
 
     def validate_against(self, spec: Spec) -> None:
         validate(spec, self.ops)

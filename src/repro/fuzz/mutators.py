@@ -146,8 +146,7 @@ class MutationEngine:
         if choice == 0 and len(mutable) >= 1:
             # Duplicate a packet right after itself.
             idx = rng.pick(mutable)
-            op = child.ops[idx]
-            child.ops.insert(idx + 1, Op(op.node, op.refs, op.args))
+            child.ops.insert(idx + 1, child.ops[idx])
             child.origin = "dup-packet"
         elif choice == 1 and len(mutable) >= 2:
             # Drop one packet.

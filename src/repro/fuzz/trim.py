@@ -27,7 +27,7 @@ from repro.coverage.bitmap import BUCKET_LOOKUP
 from repro.fuzz.executor import NyxExecutor
 from repro.fuzz.input import FuzzInput
 from repro.fuzz.stats import CampaignStats
-from repro.spec.bytecode import Op, normalize_markers, validate
+from repro.spec.bytecode import normalize_markers, validate
 from repro.spec.nodes import Spec, SpecError, default_network_spec
 
 
@@ -66,8 +66,8 @@ def static_reduce(spec: Spec, input_: FuzzInput) -> Tuple[FuzzInput, int]:
     removed += len(reduced) - len(normalized)
     if not removed:
         return input_, 0
-    candidate = FuzzInput([Op(o.node, o.refs, o.args) for o in normalized],
-                          origin=input_.origin, parent_id=input_.parent_id)
+    candidate = FuzzInput(normalized, origin=input_.origin,
+                          parent_id=input_.parent_id)
     return candidate, removed
 
 

@@ -49,6 +49,31 @@ class GuestError(Exception):
                          (": " + self.message) if self.message else "")
 
 
+class EmptyPoll(GuestError):
+    """EAGAIN from a poll that found nothing to take.
+
+    Raised by class (``raise NoPendingConnection``).  ``errno`` and
+    ``message`` are class attributes and the constructor is
+    ``Exception``'s own, in C, so the scheduler's empty polls — several
+    per exec — run no Python frame to build their error.
+    """
+
+    __init__ = Exception.__init__
+    errno = Errno.EAGAIN
+
+
+class NoPendingConnection(EmptyPoll):
+    """``accept`` on a listener with an empty queue."""
+
+    message = "no pending connections"
+
+
+class NoFuzzPacket(EmptyPoll):
+    """``recv`` on a hooked connection with no packet queued."""
+
+    message = "no fuzz packet pending"
+
+
 class CrashKind(enum.Enum):
     """Classes of crash the guest can report, mirroring real signals
     and sanitizer verdicts."""

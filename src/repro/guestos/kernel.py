@@ -23,7 +23,8 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.guestos.epoll import EPOLLIN, EpollEvent, EpollInstance
-from repro.guestos.errors import (CrashReport, Errno, GuestCrash, GuestError)
+from repro.guestos.errors import (CrashReport, Errno, GuestCrash, GuestError,
+                                  NoPendingConnection)
 from repro.guestos.fds import FdEntry, FdKind
 from repro.guestos.fs import FileSystem
 from repro.guestos.process import Process, Program
@@ -137,9 +138,10 @@ class Kernel:
         # Bump pointer the cached "_directory" blob was pickled with;
         # -1 forces the first flush to write a directory.
         self._dir_bump: int = -1
-        # Host-side syscall-interface cache; a KernelApi is a pure
-        # (kernel, pid) binding, so one instance serves every round.
-        self._api_cache: Dict[int, "KernelApi"] = {}  # nyx: allow[reset]
+        # Host-side per-pid (syscall interface, component key) pairs:
+        # both are pure functions of the pid, so one pair serves every
+        # round.
+        self._bindings: Dict[int, Tuple["KernelApi", str]] = {}  # nyx: allow[reset]
         machine.on_restore(self.reload_from_memory)
 
     # ------------------------------------------------------------------
@@ -350,10 +352,15 @@ class Kernel:
 
     def api_for(self, pid: int) -> "KernelApi":
         """The syscall interface bound to process ``pid``."""
-        api = self._api_cache.get(pid)
-        if api is None:
-            api = self._api_cache[pid] = KernelApi(self, pid)
-        return api
+        return self._binding(pid)[0]
+
+    def _binding(self, pid: int) -> Tuple["KernelApi", str]:
+        """Process ``pid``'s syscall interface and component key."""
+        binding = self._bindings.get(pid)
+        if binding is None:
+            binding = self._bindings[pid] = (KernelApi(self, pid),
+                                             "proc:%d" % pid)
+        return binding
 
     # ------------------------------------------------------------------
     # scheduling
@@ -365,75 +372,74 @@ class Kernel:
         Returns the number of productive syscalls performed.  A round
         with no productive syscalls ends the loop, which models "the
         target blocked waiting for more input".
+
+        The whole run is one coverage window: only program callbacks
+        execute instrumented code, and the tracer's elision state
+        changes only between runs, so the window records the same sites
+        as one window per callback would.
         """
+        if self.coverage is None:
+            return self._rounds(max_rounds)
+        return self.coverage.run(self._rounds, max_rounds)
+
+    def _rounds(self, max_rounds: int) -> int:  # nyx: hot
+        """The scheduling rounds of :meth:`run`.
+
+        Each round first fires the due timers, in process-table order,
+        then steps every live process once, in pid order.  A process
+        forked by a poll is first stepped in the next round; one forked
+        by a timer handler is stepped in this round's step loop.
+        """
+        processes = self.processes
+        clock = self.machine.clock
         total = 0
         for _ in range(max_rounds):
             if self.watchdog is not None and self.watchdog():
                 break
             before = self._activity
-            self._fire_timers()
-            for pid in sorted(self.processes):
-                proc = self.processes.get(pid)
-                if proc is None or not proc.alive:
-                    continue
-                self._step(proc)
+            now = clock.now
+            # A copy of the table: a timer handler may fork.
+            for proc in list(processes.values()):
+                deadline = proc.timer_deadline
+                if deadline is not None and now >= deadline and proc.alive:
+                    proc.timer_deadline = now + (proc.program.timer_period
+                                                 or 1.0)
+                    self._activity += 1
+                    self._step(proc, timer=True)
+            for pid in sorted(processes):
+                proc = processes[pid]
+                if proc.alive:
+                    self._step(proc)
             made = self._activity - before
             total += made
             if made == 0:
                 break
         return total
 
-    def _step(self, proc: Process) -> None:
-        api = self.api_for(proc.pid)
-        self._touched.add("proc:%d" % proc.pid)
+    def _step(self, proc: Process, timer: bool = False) -> None:
+        """Run ``proc``'s timer handler, or its start (first step only)
+        and poll, isolating their faults: a crash is recorded, and an
+        unhandled syscall error terminates the process, the way an
+        uncaught exception kills a real server worker."""
+        pid = proc.pid
+        api, key = self._binding(pid)
+        self._touched.add(key)
+        program = proc.program
         try:
-            if not proc.started:
-                proc.started = True
-                self._activity += 1
-                self._run_program(proc, proc.program.on_start, api)
-            self._run_program(proc, proc.program.poll, api)
+            if timer:
+                program.on_timer(api)
+            else:
+                if not proc.started:
+                    proc.started = True
+                    self._activity += 1
+                    program.on_start(api)
+                program.poll(api)
         except GuestCrash as crash:
             self._record_crash(proc, crash)
         except GuestError as err:
-            # An unhandled syscall error terminates the process, the
-            # way an uncaught exception kills a real server worker.
-            self.log.append("pid %d died on %s" % (proc.pid, err))
+            self.log.append("pid %d %sdied on %s"
+                            % (pid, "timer " if timer else "", err))
             self.exit_process(proc, int(err.errno))
-
-    def _run_program(self, proc: Process, fn: Callable, api: "KernelApi") -> None:
-        if self.coverage is not None:
-            self.coverage.run(fn, api)
-        else:
-            fn(api)
-
-    def _fire_timers(self) -> None:
-        now = self.machine.clock.now
-        # Fast scan first: most rounds have no due timer, and the
-        # common case should not pay for the mutation-safe list copy.
-        for proc in self.processes.values():
-            if (proc.alive and proc.timer_deadline is not None
-                    and now >= proc.timer_deadline):
-                break
-        else:
-            return
-        for proc in list(self.processes.values()):
-            if not proc.alive or proc.timer_deadline is None:
-                continue
-            if now >= proc.timer_deadline:
-                period = proc.program.timer_period or 1.0
-                proc.timer_deadline = now + period
-                self.touch("proc:%d" % proc.pid)
-                self._activity += 1
-                # Per-process fault isolation: one timer handler
-                # crashing must not starve the other processes' timers.
-                try:  # nyx: allow[NYX074]
-                    self._run_program(proc, proc.program.on_timer,
-                                      self.api_for(proc.pid))
-                except GuestCrash as crash:
-                    self._record_crash(proc, crash)
-                except GuestError as err:
-                    self.log.append("pid %d timer died on %s" % (proc.pid, err))
-                    self.exit_process(proc, int(err.errno))
 
     def _record_crash(self, proc: Process, crash: GuestCrash) -> None:
         report = CrashReport(kind=crash.kind, bug_id=crash.bug_id,
@@ -733,7 +739,7 @@ class KernelApi:  # nyx: hot
         if listener.state is not SockState.LISTENING:
             raise GuestError(Errno.EINVAL, "accept on non-listening socket")
         if not listener.accept_queue:
-            raise GuestError(Errno.EAGAIN, "no pending connections")
+            raise NoPendingConnection
         if (k.interceptor is not None
                 and k.interceptor.accept_delay_override(listener.sid)):
             # Injected fault: the connection is parked but its

@@ -28,9 +28,14 @@ from repro.spec.nodes import Spec, SpecError
 MAGIC = b"NYXR"
 
 
-@dataclass
+@dataclass(frozen=True)
 class Op:
-    """One opcode instance in an input."""
+    """One opcode instance in an input.
+
+    Immutable, so inputs share unchanged ops: a mutated copy replaces
+    the ops it changes and keeps the rest, and prefix comparisons
+    between related inputs mostly end at an identity check.
+    """
 
     node: str
     #: Operand value indices (borrows then consumes).

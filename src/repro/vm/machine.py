@@ -48,7 +48,8 @@ class Machine:
         # registered once before the root snapshot, never per-exec.
         self._on_restore: List[Callable[[], None]] = []  # nyx: allow[reset]
         # Fuzzer-facing event log, consumed via drain_hypercalls();
-        # hypervisor-side diagnostics, not guest state.
+        # hypervisor-side diagnostics, not guest state.  It holds the
+        # current test case's events only: every restore empties it.
         self._hypercall_log: List[HypercallEvent] = []  # nyx: allow[reset]
         self._hypercall_handler: Optional[Callable[[HypercallEvent], None]] = None  # nyx: allow[reset]
         #: Chain restores that failed validation and fell back to the
@@ -74,7 +75,8 @@ class Machine:
             self._hypercall_handler(event)
 
     def drain_hypercalls(self) -> List[HypercallEvent]:
-        """Return and clear the hypercall log."""
+        """Return and clear the hypercall log: the events issued since
+        the last snapshot restore."""
         log = self._hypercall_log
         self._hypercall_log = []
         return log
@@ -136,6 +138,11 @@ class Machine:
         return self.restore_root()
 
     def _notify_restore(self) -> None:
+        # A restore starts the next test case, so the previous one's
+        # undrained events go.  A crash's PANIC event also travels in
+        # the kernel's crash report; kept here, one would pile up per
+        # crashing exec for the whole campaign.
+        self._hypercall_log = []
         for callback in self._on_restore:
             callback()
 

@@ -32,11 +32,13 @@ with open(ROOT / "BENCH_baseline.json", encoding="utf-8") as _handle:
     ANCHORS = json.load(_handle)
 
 
-def _run(target, seed, execs, policy, max_chain_depth, seeds=None):
+def _run(target, seed, execs, policy, max_chain_depth=1, seeds=None,
+         **options):
     """``(stats_checksum, final_edges)`` of one seeded campaign."""
     handles = build_campaign(PROFILES[target], policy=policy, seed=seed,
                              time_budget=1e9, max_execs=execs,
-                             max_chain_depth=max_chain_depth, seeds=seeds)
+                             max_chain_depth=max_chain_depth, seeds=seeds,
+                             **options)
     stats = handles.fuzzer.run_campaign()
     return stats_checksum(stats), stats.final_edges
 
@@ -60,6 +62,20 @@ def test_chain_leg_anchor_matches_the_committed_baseline(leg):
                     seeds=[deep_session_input()])
     assert observed == (anchor["stats_checksum"], anchor["final_edges"]), (
         "%s leg gave checksum %s with %d edges" % ((leg,) + observed))
+
+
+@pytest.mark.parametrize("path", sorted(ANCHORS["scheduler"]))
+def test_scheduler_anchor_matches_the_committed_baseline(path):
+    """Guest scheduler paths the other anchors never take: bftpd forks
+    a child per connection (``fork``), firefox-ipc runs several
+    processes on several channels (``multi-channel``), and lightftp
+    under injected faults and a 50 ms budget stops 43 execs mid-run
+    and rebuilds its snapshot 17 times (``watchdog``)."""
+    anchor = dict(ANCHORS["scheduler"][path])
+    expected = (anchor.pop("stats_checksum"), anchor.pop("final_edges"))
+    observed = _run(**anchor)
+    assert observed == expected, (
+        "%s anchor gave checksum %s with %d edges" % ((path,) + observed))
 
 
 CAMPAIGN = """\

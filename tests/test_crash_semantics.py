@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.baselines.aflnet import AflNetConfig, AflNetFuzzer
+from repro.fuzz.campaign import build_campaign
 from repro.fuzz.crash import CrashDatabase
 from repro.fuzz.input import packets_input
 from repro.guestos.errors import (CrashKind, CrashReport, Errno, GuestCrash,
@@ -9,6 +11,7 @@ from repro.guestos.errors import (CrashKind, CrashReport, Errno, GuestCrash,
 from repro.guestos.kernel import Kernel
 from repro.guestos.process import Program
 from repro.guestos.sockets import SockDomain, SockType
+from repro.targets.tinydtls import PROFILE as TINYDTLS
 from repro.vm.hypercall import Hypercall
 
 from tests.helpers import make_machine
@@ -98,6 +101,26 @@ class TestCrashFlow:
         assert proc.exit_code == int(Errno.EBADF)
         assert kernel.crash_reports == []
         assert any("died" in line for line in kernel.log)
+
+    def test_campaign_keeps_no_panic_events(self):
+        """Each exec's closing restore empties the hypercall log: the
+        crash travels in ``kernel.crash_reports``, so the PANIC events
+        would only pile up (seven of them after these 100 execs, when
+        nothing emptied the log)."""
+        handles = build_campaign(TINYDTLS, policy="balanced", seed=1,
+                                 time_budget=1e9, max_execs=100)
+        stats = handles.fuzzer.run_campaign()
+        assert stats.crashes_found == 1
+        assert handles.machine.drain_hypercalls() == []
+
+    def test_baseline_campaign_keeps_no_panic_events(self):
+        """The baselines restore after each exec too (19 events after
+        these 150 AFLNet execs, when nothing emptied the log)."""
+        fuzzer = AflNetFuzzer(TINYDTLS, AflNetConfig(
+            seed=1, time_budget=1e9, max_execs=150))
+        stats = fuzzer.run_campaign()
+        assert stats.crashes_found == 1
+        assert fuzzer.harness.machine.drain_hypercalls() == []
 
     def test_crash_kind_asan_only_classification(self):
         assert CrashKind.ASAN_HEAP_OVERFLOW.asan_only

@@ -1,5 +1,7 @@
 """Unit tests for the fuzzer core: inputs, mutators, queue, policies."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -34,6 +36,16 @@ class TestFuzzInput:
         clone = inp.copy()
         clone.with_payload(1, b"changed")
         assert inp.payload_of(1) == b"packet-00"
+
+    def test_copy_shares_immutable_ops(self):
+        inp = simple_input(2)
+        clone = inp.copy()
+        assert all(a is b for a, b in zip(clone.ops, inp.ops))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            clone.ops[1].args = (b"changed",)
+        clone.with_payload(1, b"changed")
+        assert clone.ops[1] is not inp.ops[1]
+        assert clone.ops[2] is inp.ops[2]
 
     def test_total_payload_bytes(self):
         assert simple_input(3).total_payload_bytes() == 27

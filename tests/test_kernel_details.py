@@ -151,6 +151,35 @@ class TickerProgram(Program):
         self.ticks += 1
 
 
+class StampingTimer(Program):
+    """Charges 1 ms per callback and stamps it, with its pid and the
+    sim clock, into the kernel's host-side log; its second timer tick
+    fails with EPIPE."""
+
+    name = "stamping-timer"
+
+    def __init__(self, period):
+        self.timer_period = period
+        self.ticks = 0
+
+    def _stamp(self, api, what):
+        api.cpu(1e-3)
+        api.k.log.append("%s %d %r" % (what, api.getpid(),
+                                       api.k.machine.clock.now))
+
+    def on_start(self, api):
+        self._stamp(api, "start")
+
+    def poll(self, api):
+        self._stamp(api, "poll")
+
+    def on_timer(self, api):
+        self.ticks += 1
+        self._stamp(api, "timer")
+        if self.ticks == 2:
+            raise GuestError(Errno.EPIPE, "tick")
+
+
 class TestTimers:
     def test_timers_fire_with_advancing_clock(self):
         machine = make_machine()
@@ -172,6 +201,39 @@ class TestTimers:
         machine.clock.charge(0.001)  # one fast emulated exec
         kernel.run()
         assert proc.program.ticks == 0
+
+    def test_two_processes_pin_timer_order_and_the_sim_clock(self):
+        """Each round fires the due timers in process-table order, then
+        steps every live process in pid order; a timer's unhandled
+        syscall error kills its process."""
+        machine = make_machine()
+        kernel = Kernel(machine)
+        kernel.g.next_pid = 9
+        kernel.spawn(StampingTimer(0.5))
+        kernel.spawn(StampingTimer(0.3))
+        # A reload rebuilds the table in component-key order, and
+        # "proc:10" sorts before "proc:9".
+        kernel.flush_to_memory(full=True)
+        kernel.reload_from_memory()
+        assert list(kernel.processes) == [10, 9]
+        productive = [kernel.run()]
+        for _ in range(2):
+            machine.clock.charge(1.0)
+            productive.append(kernel.run())
+        assert productive == [2, 2, 2]
+        assert kernel.log == [
+            "start 9 0.001", "poll 9 0.002",
+            "start 10 0.003", "poll 10 0.004",
+            "poll 9 0.005", "poll 10 0.006",
+            "timer 10 1.007", "timer 9 1.0079999999999998",
+            "poll 9 1.0089999999999997", "poll 10 1.0099999999999996",
+            "poll 9 1.0109999999999995", "poll 10 1.0119999999999993",
+            "timer 10 2.0129999999999995", "pid 10 timer died on EPIPE: tick",
+            "timer 9 2.0139999999999993", "pid 9 timer died on EPIPE: tick",
+        ]
+        assert machine.clock.now == 2.0139999999999993
+        assert [kernel.processes[pid].exit_code for pid in (9, 10)] == [
+            int(Errno.EPIPE)] * 2
 
 
 class TestSerializationEdgeCases:

@@ -22,6 +22,19 @@ class TestMachine:
         assert log[0].payload == {"status": "done"}
         assert machine.drain_hypercalls() == []
 
+    def test_restore_empties_the_hypercall_log(self):
+        machine = Machine(memory_bytes=64 * PAGE_SIZE)
+        machine.capture_root()
+        machine.hypercall(Hypercall.PANIC, report="first")
+        machine.restore_root()
+        machine.hypercall(Hypercall.PANIC, report="second")
+        assert [e.payload for e in machine.drain_hypercalls()] == [
+            {"report": "second"}]
+        machine.hypercall(Hypercall.PANIC, report="third")
+        machine.create_incremental()
+        machine.restore_incremental()
+        assert machine.drain_hypercalls() == []
+
     def test_hypercall_charges_vm_exit(self):
         machine = Machine(memory_bytes=64 * PAGE_SIZE)
         t0 = machine.clock.now
