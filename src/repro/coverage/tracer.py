@@ -21,12 +21,7 @@ a record phase and a fold phase:
   lanes and folds it into the sparse edge trace once per execution,
   every edge at once with big-integer arithmetic on the packed buffer
   (:meth:`TracerCore._fold_packed`), memoized on the packed stream
-  under an LRU cap;
-* the executor's prefix-trace elision suspends collection across an
-  op prefix that a previous recording already proved deterministic and
-  seeds :meth:`take_trace` with the recorded prefix fold instead
-  (:meth:`elide_suspend` / :meth:`elide_resume`), yielding the same
-  bytes without re-recording the prefix.
+  under an LRU cap.
 """
 
 from __future__ import annotations
@@ -34,10 +29,10 @@ from __future__ import annotations
 import sys
 from array import array as _array
 from collections import OrderedDict, _count_elements
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List
 
 from repro.coverage.bitmap import MAP_SIZE
-from repro.coverage.instrument import DISCARD, SINK
+from repro.coverage.instrument import SINK
 
 #: Bitmap region where IJON state annotations land (distinct from the
 #: hash range used by code edges only probabilistically, like IJON).
@@ -49,7 +44,7 @@ IJON_BASE = 0xF000
 #: memo without bound (evictions are counted into ``CampaignStats``).
 FOLD_MEMO_LIMIT = 8192
 
-#: Bytes per site in a packed stream (recordings, memo keys): one
+#: Bytes per site in a packed stream (the fold-memo keys): one
 #: little-endian 32-bit lane.
 SITE_BYTES = 4
 
@@ -76,13 +71,10 @@ def _lanes(data) -> _array:
 
 
 class TracerCore:
-    """Site stream, fold pipeline, IJON slots and prefix seeding."""
+    """Site stream, fold pipeline and IJON slots."""
 
     def __init__(self, fold_memo_limit: int = FOLD_MEMO_LIMIT) -> None:
         self.fold_memo_limit = fold_memo_limit
-        #: Sparse trace of the last folded execution (edge -> count);
-        #: refreshed by :meth:`take_trace`.
-        self.trace: Dict[int, int] = {}
         #: Flat stream of site values in execution order.  Persistent
         #: list (cleared in place) so its bound ``append`` is taken once.
         self._stream: List[int] = []
@@ -97,15 +89,6 @@ class TracerCore:
         #: Entries evicted from the fold memo (stamped into
         #: ``CampaignStats.fold_memo_evictions``).
         self.fold_evictions = 0
-        #: Packed full-stream bytes of the last :meth:`take_trace`
-        #: (prefix + live suffix) — the executor's trace recordings
-        #: reuse it instead of re-packing.
-        self.last_packed: bytes = b""
-        #: Elision state: while suspended, :meth:`run` leaves the sink
-        #: discarding and :meth:`ijon_set` is a no-op (the recorded prefix
-        #: already contains those hits).
-        self._suspended = False
-        self._prefix_packed: bytes = b""
 
     # -- per-test lifecycle --------------------------------------------------
 
@@ -113,30 +96,18 @@ class TracerCore:
         """Reset the trace for a new test case."""
         del self._stream[:]
         self._ijon.clear()
-        self.trace = {}
-        self._prefix_packed = b""
-        self._suspended = False
 
     def take_trace(self) -> Dict[int, int]:  # nyx: hot
         """Fold the site stream into the sparse edge trace.
 
         Returns a fresh dict each call; the stream itself is only
-        cleared by :meth:`begin`, so repeated calls agree.  When a
-        prefix was seeded via :meth:`elide_resume`, the recorded prefix
-        and the live suffix are folded as one stream — byte-identical
-        to having traced the whole run.
+        cleared by :meth:`begin`, so repeated calls agree.
         """
-        # Folding the concatenation runs the edge chain through the
-        # join, and the joined stream is byte-equal to a fully-traced
-        # run's, so elided and traced runs share fold-memo entries.
-        packed = self._prefix_packed + _lanes(self._stream).tobytes()
-        trace = dict(self._fold_packed(packed))
-        self.last_packed = packed
+        trace = dict(self._fold_packed(_lanes(self._stream).tobytes()))
         if self._ijon:
             get = trace.get
             for edge, count in self._ijon.items():
                 trace[edge] = get(edge, 0) + count
-        self.trace = trace
         return trace
 
     def _fold_packed(self, packed: bytes) -> Dict[int, int]:
@@ -176,53 +147,9 @@ class TracerCore:
         bitmap entry, so novel states look like novel edges to the
         fuzzer's novelty check.
         """
-        if self._suspended:
-            return
         edge = (IJON_BASE + slot) % MAP_SIZE
         ijon = self._ijon
         ijon[edge] = ijon.get(edge, 0) + 1
-
-    def ijon_snapshot(self) -> Optional[Dict[int, int]]:
-        """Copy of the IJON slot counts so far (None when empty)."""
-        return dict(self._ijon) if self._ijon else None
-
-    # -- prefix-trace elision (driven by the executor) -----------------------
-
-    def stream_pos(self) -> int:
-        """Number of sites recorded so far in the live stream."""
-        return len(self._stream)
-
-    @property
-    def prefix_site_count(self) -> int:
-        """Sites covered by the seeded prefix, so boundary marks stay
-        in full-stream coordinates after an elided resume."""
-        return len(self._prefix_packed) // SITE_BYTES
-
-    def elide_suspend(self) -> None:
-        """Stop collecting: a recorded deterministic prefix is being
-        replayed, so its events would only repeat known bytes."""
-        self._suspended = True
-
-    def elide_resume(self, prefix_packed: bytes,
-                     ijon_seed: Optional[Dict[int, int]] = None) -> None:
-        """Resume collection, seeding the recorded prefix.
-
-        ``prefix_packed`` is the packed site stream the suspended
-        window *would* have produced; ``ijon_seed`` the IJON counts it
-        would have accumulated.  :meth:`take_trace` then returns the
-        same bytes a fully-traced run yields.
-        """
-        self._suspended = False
-        self._prefix_packed = prefix_packed
-        if ijon_seed:
-            ijon = self._ijon
-            get = ijon.get
-            for edge, count in ijon_seed.items():
-                ijon[edge] = get(edge, 0) + count
-
-    @property
-    def suspended(self) -> bool:
-        return self._suspended
 
     # -- the trace window ------------------------------------------------------
 
@@ -231,11 +158,10 @@ class TracerCore:
         going to this tracer's stream.
 
         Restores the sink's previous target on exit, so windows nest.
-        While suspended (prefix elision), the sink discards.
         """
         sink = SINK
         previous = sink.hit
-        sink.hit = DISCARD if self._suspended else self._append
+        sink.hit = self._append
         try:
             return fn(*args)
         finally:

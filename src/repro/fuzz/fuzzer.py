@@ -156,9 +156,6 @@ class NyxNetFuzzer:
         self.stats.queue_size = len(self.corpus)
         self.stats.snapshot_rebuilds = self.executor.snapshot_rebuilds
         self.stats.degraded_root_only = self.executor.degraded_root_only
-        self.stats.prefix_elisions = self.executor.prefix_elisions
-        self.stats.prefix_elided_ops = self.executor.prefix_elided_ops
-        self.stats.elision_invalidations = self.executor.elision_invalidations
         snap_stats = self.executor.machine.snapshots.stats
         self.stats.chain_pushes = snap_stats.overlay_pushes
         self.stats.chain_commits = snap_stats.overlay_commits
@@ -326,11 +323,7 @@ class NyxNetFuzzer:
             child = self.mutator.mutate(
                 entry.input, from_index=0,
                 splice_donor=self.corpus.splice_donor(entry))
-            # Any op prefix the child still shares with its parent
-            # replays with the tracer elided against the parent's
-            # recording.
-            result = self.executor.run_full(child,
-                                            parent_key=entry.entry_id)
+            result = self.executor.run_full(child)
             if self._process_result(child, result):
                 found_new = True
         self.policy.feedback(entry, found_new, self.config.iterations_root)
@@ -344,12 +337,8 @@ class NyxNetFuzzer:
         coverage yield back."""
         base = entry.input
         result = self.executor.run_full(base,
-                                        snapshot_after_packets=list(points),
-                                        parent_key=entry.entry_id)
+                                        snapshot_after_packets=list(points))
         self._process_result(base, result, count_as_new_input=False)
-        # Entries discovered by suffix runs carry no recording of their
-        # own; this capture run's (charge-clamped) recording fills in.
-        self.executor.remember_trace(entry.entry_id, result, replace=False)
         if self.executor.chain_node_count == 0:
             # Snapshot creation failed (e.g. crash before the first
             # point); fall back to root fuzzing for this schedule.
@@ -415,16 +404,13 @@ class NyxNetFuzzer:
         if verdict != CoverageMap.NEW_NOTHING:
             self.stats.record_coverage(now, self.coverage.edge_count())
             if count_as_new_input and verdict == CoverageMap.NEW_EDGE:
-                entry = self.corpus.add(
+                self.corpus.add(
                     input_.copy(), exec_time=result.exec_time,
                     new_edges=self.coverage.edge_count(),
                     found_at=now,
                     checksum=self.coverage.checksum(result.trace),
                     packets_consumed=result.packets_consumed,
                     trace=dict(result.trace))
-                # Future children of this entry elide their shared
-                # prefix against this run's recording.
-                self.executor.remember_trace(entry.entry_id, result)
                 found_new = True
         return found_new
 
@@ -479,10 +465,9 @@ class NyxNetFuzzer:
             self.stats.record_crash(result.crash.dedup_key, now)
         self.coverage.has_new_bits(result.trace)
         self.stats.record_coverage(now, self.coverage.edge_count())
-        entry = self.corpus.add(seed, exec_time=result.exec_time,
-                                new_edges=self.coverage.edge_count(),
-                                found_at=now,
-                                checksum=self.coverage.checksum(result.trace),
-                                packets_consumed=result.packets_consumed,
-                                trace=dict(result.trace))
-        self.executor.remember_trace(entry.entry_id, result)
+        self.corpus.add(seed, exec_time=result.exec_time,
+                        new_edges=self.coverage.edge_count(),
+                        found_at=now,
+                        checksum=self.coverage.checksum(result.trace),
+                        packets_consumed=result.packets_consumed,
+                        trace=dict(result.trace))

@@ -22,9 +22,6 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 #: :meth:`CampaignStats.merge` combines two workers' values: the
 #: deepest chain, the sum of every other count.
 HOST_COUNTERS = (
-    ("prefix_elisions", operator.add),
-    ("prefix_elided_ops", operator.add),
-    ("elision_invalidations", operator.add),
     ("fold_memo_evictions", operator.add),
     ("checkpoints_written", operator.add),
     ("checkpoint_epochs_pruned", operator.add),
@@ -81,15 +78,9 @@ class CampaignStats:
     #: --- host-side performance counters -----------------------------
     #: These describe how cheaply the host computed the campaign, never
     #: what the campaign computed, so they are excluded from
-    #: :meth:`as_dict` (and hence from ``stats_checksum``): an elided
-    #: and a fully-traced run of the same campaign must hash the same.
-    #: Runs whose traced prefix was elided against a recording.
-    prefix_elisions: int = 0
-    #: Ops those elisions skipped tracing for.
-    prefix_elided_ops: int = 0
-    #: Wholesale recording-cache invalidations (snapshot heal/rebuild/
-    #: degrade events).
-    elision_invalidations: int = 0
+    #: :meth:`as_dict` (and hence from ``stats_checksum``): a campaign
+    #: must hash the same however many fold-memo entries it evicted or
+    #: checkpoints it wrote.
     #: Entries evicted from the tracer's LRU fold memo.
     fold_memo_evictions: int = 0
     #: Checkpoints the durable layer persisted.

@@ -115,7 +115,8 @@ class Kernel:
         #: Executor watchdog: when set, :meth:`run` stops scheduling new
         #: rounds once it returns True (per-exec budget exceeded).
         self.watchdog: Optional[Callable[[], bool]] = None
-        #: Optional coverage collector wrapping program execution.
+        #: The executor's :class:`~repro.coverage.tracer.TracerCore`,
+        #: whose trace window wraps program execution (None: untraced).
         self.coverage: Optional[Any] = None
         #: Host-side outboxes for data sent to external peers.
         self._outbox: Dict[int, List[bytes]] = {}
@@ -374,8 +375,7 @@ class Kernel:
         target blocked waiting for more input".
 
         The whole run is one coverage window: only program callbacks
-        execute instrumented code, and the tracer's elision state
-        changes only between runs, so the window records the same sites
+        execute instrumented code, so the window records the same sites
         as one window per callback would.
         """
         if self.coverage is None:
@@ -665,7 +665,7 @@ class KernelApi:  # nyx: hot
         coverage bitmap (compiled in by IJON's pass; a no-op when no
         coverage collector is attached)."""
         coverage = self.k.coverage
-        if coverage is not None and hasattr(coverage, "ijon_set"):
+        if coverage is not None:
             coverage.ijon_set(int(slot))
 
     def time(self) -> float:

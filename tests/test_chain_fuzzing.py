@@ -204,7 +204,6 @@ class TestResumeEquivalence:
         handles = build_campaign(PROFILES["lightftp"], policy="none",
                                  seed=0, time_budget=1e9, max_chain_depth=4)
         executor = handles.executor
-        executor.trace_elision = False
         interceptor = handles.interceptor
         base = deep_session_input()
         packets = base.packet_indices()

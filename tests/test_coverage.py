@@ -6,7 +6,9 @@ from hypothesis import strategies as st
 from repro.coverage.bitmap import (BUCKET_LOOKUP, CoverageMap, MAP_SIZE,
                                    classify_counts, count_bits)
 from repro.coverage.instrument import SINK, load
-from repro.coverage.tracer import SITE_BYTES, TracerCore
+from repro.coverage.tracer import TracerCore
+from repro.fuzz.campaign import build_campaign
+from repro.targets.lightftp import PROFILE as LIGHTFTP
 
 from tests import helpers
 
@@ -139,18 +141,11 @@ class TestEdgeTracer:
         tracer = TracerCore()
         tracer.begin()
         traced.loop(5)  # no window open: nothing is recorded anywhere
-        assert tracer.stream_pos() == 0
+        assert tracer._stream == []
         tracer.run(traced.loop, 5)
-        inside = tracer.stream_pos()
+        inside = len(tracer._stream)
         traced.loop(5)
-        assert tracer.stream_pos() == inside > 0
-
-    def test_suspended_window_records_nothing(self):
-        tracer = TracerCore()
-        tracer.begin()
-        tracer.elide_suspend()
-        tracer.run(traced.loop, 5)
-        assert tracer.stream_pos() == 0
+        assert len(tracer._stream) == inside > 0
 
     def test_ijon_set_lands_in_trace(self):
         tracer = TracerCore()
@@ -219,25 +214,47 @@ class TestFold:
         tracer.run(_emit, sites)
         trace = tracer.take_trace()
         assert list(trace.items()) == list(reference_fold(sites).items())
-        # Recordings are little-endian 32-bit lanes on every host.
-        assert tracer.last_packed == b"".join(
-            site.to_bytes(SITE_BYTES, "little") for site in sites)
 
-    @given(STREAMS, st.data())
-    @settings(max_examples=60)
-    def test_recorded_prefix_joined_to_a_live_suffix(self, sites, data):
-        # Prefix elision: the recorded prefix is seeded and only the
-        # suffix is traced live; the fold runs through the join.
-        cut = data.draw(st.integers(0, len(sites)))
-        recorder = TracerCore()
-        recorder.begin()
-        recorder.run(_emit, sites)
-        whole = recorder.take_trace()
-        tracer = TracerCore()  # a fresh memo: the join is really folded
-        tracer.begin()
-        tracer.elide_suspend()
-        tracer.run(_emit, sites[:cut])
-        tracer.elide_resume(recorder.last_packed[:cut * SITE_BYTES])
-        tracer.run(_emit, sites[cut:])
-        assert list(tracer.take_trace().items()) == list(whole.items())
-        assert tracer.prefix_site_count == cut
+
+# ----------------------------------------------------------------------
+# fold-memo LRU bound
+# ----------------------------------------------------------------------
+
+
+class TestFoldMemoBound:
+    def test_cache_stays_bounded_and_counts_evictions(self):
+        tracer = TracerCore(fold_memo_limit=4)
+        for n in range(10):
+            tracer.begin()
+            tracer.run(traced.alternating, n)
+            tracer.take_trace()
+        assert len(tracer._fold_cache) <= 4
+        assert tracer.fold_evictions > 0
+
+    def test_refold_after_eviction_is_identical(self):
+        # An evicted stream re-folds to the same trace a fresh,
+        # unbounded tracer computes: the memo is a cache, not state.
+        small = TracerCore(fold_memo_limit=2)
+        first = {}
+        for n in (3, 4, 5, 6):
+            small.begin()
+            small.run(traced.alternating, n)
+            trace = dict(small.take_trace())
+            if n == 3:
+                first = trace
+        small.begin()
+        small.run(traced.alternating, 3)  # 3 was evicted by now
+        refolded = dict(small.take_trace())
+        assert refolded == first
+
+        fresh = TracerCore()
+        fresh.begin()
+        fresh.run(traced.alternating, 3)
+        assert dict(fresh.take_trace()) == first
+
+    def test_campaign_stamps_eviction_counter(self):
+        handles = build_campaign(LIGHTFTP, policy="balanced", seed=2,
+                                 time_budget=1e9, max_execs=80)
+        handles.executor.tracer.fold_memo_limit = 2
+        stats = handles.fuzzer.run_campaign()
+        assert stats.fold_memo_evictions > 0

@@ -131,7 +131,7 @@ class TestLeaders:
         tracer.begin()
         tracer.run(exec, compile_instrumented(source, "<test>", "m"),
                    namespace)
-        assert tracer.stream_pos() == 0
+        assert tracer._stream == []
         tracer.run(namespace["C"]().method)
         assert tracer._stream == [_stable_site("m:9:8")]
 

@@ -193,7 +193,7 @@ def test_snapshot_costs_scale_with_dirty_pages(n_small, n_large):
 
 
 # ----------------------------------------------------------------------
-# prefix-trace elision == full tracing
+# a corrupted chain rebuilds to the healthy outcome
 # ----------------------------------------------------------------------
 
 
@@ -214,37 +214,40 @@ def _traced_executor():
     return machine, NyxExecutor(machine, kernel, interceptor, TracerCore())
 
 
-def _elision_sequence(machine, executor, base, child):
-    """One full exercise of every elision path; returns the traces.
+def _rebuild_outcomes(machine, executor, base, child, corrupt):
+    """Suffix-run outcomes (trace, echo responses) around a real
+    corruption of chain layer 1: the healthy run, the run whose closing
+    reset detects the corruption, and the run that rebuilds the chain
+    from the root before it executes."""
+    def suffix():
+        result = executor.run_suffix(child)
+        return result.trace, executor.interceptor.responses(0)
 
-    Covers from-root elision against a remembered parent recording
-    (whole-run elision when the child equals the parent), suffix
-    elision against the capture recording, and the heal/rebuild path
-    (which invalidates all recordings mid-sequence).
-    """
-    traces = []
-    r_base = executor.run_full(base)
-    executor.remember_trace(1, r_base)
-    traces.append(r_base.trace)
+    executor.run_full(base)                 # the marker captures layer 1
+    healthy = suffix()
+    corrupt()
+    rebuilds = executor.snapshot_rebuilds
+    detecting = suffix()
+    assert machine.snapshot_corruptions >= 1
+    assert executor.snapshot_rebuilds == rebuilds
+    rebuilt = suffix()
+    assert executor.snapshot_rebuilds == rebuilds + 1
     executor.finish_snapshot_cycle()
-    traces.append(executor.run_full(child, parent_key=1).trace)
-    executor.finish_snapshot_cycle()
-    executor.run_full(base)                       # re-arm the snapshot
-    traces.append(executor.run_suffix(child).trace)
-    machine.snapshots.discard_chain()             # corrupt -> heal
-    traces.append(executor.run_suffix(child).trace)
-    executor.finish_snapshot_cycle()
-    return traces
+    return healthy, detecting, rebuilt
 
 
 @given(payloads=st.lists(st.binary(min_size=1, max_size=6),
                          min_size=2, max_size=4),
-       mutated=st.binary(min_size=0, max_size=8))
+       mutated=st.binary(min_size=0, max_size=8),
+       victim=st.integers(0, 1 << 16), bit=st.integers(0, 7))
 @settings(max_examples=15, deadline=None)
-def test_prefix_elision_equals_full_tracing(payloads, mutated):
-    """Elision is invisible: every run's trace is byte-identical to the
-    same sequence executed with elision disabled — through from-root
-    elision, whole-run elision, suffix elision and heal/rebuild."""
+def test_corrupted_chain_rebuilds_to_the_healthy_outcome(payloads, mutated,
+                                                         victim, bit):
+    """A bit flip in layer 1's mirror is caught by the closing reset,
+    and the next suffix run rebuilds the chain from the root and
+    returns the trace and responses of the healthy chain — with no
+    injector, and with an armed rate-0 injector forcing the flip."""
+    from repro.faults import FaultInjector, FaultKind, FaultPlan
     from repro.fuzz.input import FuzzInput
     from repro.spec.bytecode import Op
 
@@ -256,22 +259,25 @@ def test_prefix_elision_equals_full_tracing(payloads, mutated):
     child.with_payload(base.packet_indices()[-1], bytes(mutated))
 
     machine, executor = _traced_executor()
-    elided = _elision_sequence(machine, executor, base, child)
-    assert executor.prefix_elisions >= 1
-    assert executor.elision_invalidations >= 1
+    snapshots = machine.snapshots
 
-    executor.trace_elision = False
-    plain = _elision_sequence(machine, executor, base, child)
-    assert elided == plain
+    def flip():
+        pages = sorted(snapshots.mirror_private_pages())
+        assert pages
+        snapshots.flip_mirror_bit(pages[victim % len(pages)], bit=bit)
 
-    # FaultPlan composition: an armed injector (even at rate 0, which
-    # never fires) disarms elision; traces still match the reference.
-    from repro.faults import FaultInjector, FaultPlan
-    executor.trace_elision = True
+    healthy, detecting, rebuilt = _rebuild_outcomes(
+        machine, executor, base, child, flip)
+    assert healthy[0]  # the echo server is traced
+    assert detecting == healthy
+    assert rebuilt == healthy
+
+    machine, executor = _traced_executor()
     injector = FaultInjector(FaultPlan(seed=0, rate=0.0))
     executor.interceptor.injector = injector
     machine.snapshots.injector = injector
-    before = executor.prefix_elisions
-    armed = _elision_sequence(machine, executor, base, child)
-    assert executor.prefix_elisions == before
-    assert armed == plain
+    armed = _rebuild_outcomes(
+        machine, executor, base, child,
+        lambda: injector.force_next(FaultKind.SNAPSHOT_BITFLIP))
+    assert injector.faults_injected == 1
+    assert armed == (healthy, healthy, healthy)

@@ -9,7 +9,7 @@ thousands of executions.
 
 import json
 
-from repro.fuzz.stats import AggregateStats, CampaignStats
+from repro.fuzz.stats import AggregateStats, CampaignStats, stats_checksum
 
 
 class TestExecsPerSecond:
@@ -156,3 +156,42 @@ class TestAggregateStats:
         assert ": " not in first
         keys = list(payload["merged"])
         assert keys == sorted(keys)
+
+
+class TestHostCounterPurity:
+    """Host counters describe how cheaply a campaign was computed, never
+    what it computed, so they stay out of ``as_dict`` and the
+    checksum."""
+
+    HOST_KEYS = ("fold_memo_evictions", "checkpoints_written",
+                 "checkpoint_epochs_pruned", "checkpoint_verifications",
+                 "checkpoint_divergences", "chain_pushes", "chain_commits",
+                 "chain_restores", "chain_deepest")
+
+    def test_as_dict_excludes_host_counters(self):
+        stats = CampaignStats()
+        stats.fold_memo_evictions = 9
+        as_dict = stats.as_dict()
+        for key in self.HOST_KEYS:
+            assert key not in as_dict
+        counters = stats.host_counters()
+        assert set(counters) == set(self.HOST_KEYS)
+        assert counters["fold_memo_evictions"] == 9
+
+    def test_merge_sums_host_counters(self):
+        a, b = CampaignStats(), CampaignStats()
+        for n, key in enumerate(self.HOST_KEYS, start=1):
+            setattr(a, key, n)
+            setattr(b, key, 10 * n)
+        merged = CampaignStats.merge([a, b])
+        for n, key in enumerate(self.HOST_KEYS, start=1):
+            # The deepest chain is a maximum; every other count sums.
+            expected = 10 * n if key == "chain_deepest" else 11 * n
+            assert getattr(merged, key) == expected, key
+
+    def test_checksum_blind_to_host_counters(self):
+        stats = CampaignStats()
+        before = stats_checksum(stats)
+        for n, key in enumerate(self.HOST_KEYS, start=1):
+            setattr(stats, key, 1000 * n)
+        assert stats_checksum(stats) == before
