@@ -20,15 +20,15 @@ a record phase and a fold phase:
 * :meth:`TracerCore.take_trace` packs the site stream as 32-bit
   lanes and folds it into the sparse edge trace once per execution,
   every edge at once with big-integer arithmetic on the packed buffer
-  (:meth:`TracerCore._fold_packed`), memoized on the packed stream
-  under an LRU cap.
+  (:func:`_fold_packed`).  Every stream is folded afresh;
+  docs/performance.md records why a fold memo does not pay.
 """
 
 from __future__ import annotations
 
 import sys
 from array import array as _array
-from collections import OrderedDict, _count_elements
+from collections import _count_elements
 from typing import Callable, Dict, List
 
 from repro.coverage.bitmap import MAP_SIZE
@@ -38,14 +38,7 @@ from repro.coverage.instrument import SINK
 #: hash range used by code edges only probabilistically, like IJON).
 IJON_BASE = 0xF000
 
-#: Fold-memo LRU cap.  Mutated inputs mostly retrace known paths, so a
-#: campaign's distinct streams stay far below this; the cap exists so
-#: week-long campaigns with pathological path churn cannot grow the
-#: memo without bound (evictions are counted into ``CampaignStats``).
-FOLD_MEMO_LIMIT = 8192
-
-#: Bytes per site in a packed stream (the fold-memo keys): one
-#: little-endian 32-bit lane.
+#: Bytes per site in a packed stream: one little-endian 32-bit lane.
 SITE_BYTES = 4
 
 # The fold keeps every lane's low bits with one mask, so the map must
@@ -70,11 +63,30 @@ def _lanes(data) -> _array:
     return lanes
 
 
+def _fold_packed(packed: bytes) -> Dict[int, int]:
+    """Fold a packed site stream into a fresh ``{edge: hits}``, edges
+    in first-occurrence order.
+
+    Every edge ``(site ^ (prev >> 1)) % MAP_SIZE`` (``prev`` starting at
+    0) comes out of three big-integer operations on the stream read as
+    one integer: lane *i* of ``stream << 31`` holds bits 1 and up of
+    site *i - 1* (zero for lane 0), and the bit of site *i* it pushes
+    into the lane's top bit falls outside the mask.
+    """
+    if not packed:
+        return {}
+    stream = int.from_bytes(packed, "little")
+    mask = int.from_bytes(_LANE_MASK * (len(packed) // SITE_BYTES), "little")
+    edges = (stream ^ (stream << 31)) & mask
+    trace: Dict[int, int] = {}
+    _count_elements(trace, _lanes(edges.to_bytes(len(packed), "little")))
+    return trace
+
+
 class TracerCore:
     """Site stream, fold pipeline and IJON slots."""
 
-    def __init__(self, fold_memo_limit: int = FOLD_MEMO_LIMIT) -> None:
-        self.fold_memo_limit = fold_memo_limit
+    def __init__(self) -> None:
         #: Flat stream of site values in execution order.  Persistent
         #: list (cleared in place) so its bound ``append`` is taken once.
         self._stream: List[int] = []
@@ -82,13 +94,6 @@ class TracerCore:
         #: IJON state hits land directly on edges (they bypass the
         #: prev-site chain), so they live outside the site stream.
         self._ijon: Dict[int, int] = {}
-        #: Fold memo: packed site stream -> folded edge trace,
-        #: LRU-bounded.  Keying on the exact packed stream keeps
-        #: the memo collision-proof (bytes equality compares it all).
-        self._fold_cache: "OrderedDict[bytes, Dict[int, int]]" = OrderedDict()
-        #: Entries evicted from the fold memo (stamped into
-        #: ``CampaignStats.fold_memo_evictions``).
-        self.fold_evictions = 0
 
     # -- per-test lifecycle --------------------------------------------------
 
@@ -103,41 +108,11 @@ class TracerCore:
         Returns a fresh dict each call; the stream itself is only
         cleared by :meth:`begin`, so repeated calls agree.
         """
-        trace = dict(self._fold_packed(_lanes(self._stream).tobytes()))
+        trace = _fold_packed(_lanes(self._stream).tobytes())
         if self._ijon:
             get = trace.get
             for edge, count in self._ijon.items():
                 trace[edge] = get(edge, 0) + count
-        return trace
-
-    def _fold_packed(self, packed: bytes) -> Dict[int, int]:
-        """Memoized fold of a packed site stream into ``{edge: hits}``,
-        edges in first-occurrence order.
-
-        Returns a shared dict — callers copy before mutating.  Every
-        edge ``(site ^ (prev >> 1)) % MAP_SIZE`` (``prev`` starting at
-        0) comes out of three big-integer operations on the stream read
-        as one integer: lane *i* of ``stream << 31`` holds bits 1 and up
-        of site *i - 1* (zero for lane 0), and the bit of site *i* it
-        pushes into the lane's top bit falls outside the mask.
-        """
-        if not packed:
-            return {}
-        cache = self._fold_cache
-        trace = cache.get(packed)
-        if trace is not None:
-            cache.move_to_end(packed)
-            return trace
-        stream = int.from_bytes(packed, "little")
-        mask = int.from_bytes(_LANE_MASK * (len(packed) // SITE_BYTES),
-                              "little")
-        edges = (stream ^ (stream << 31)) & mask
-        trace = {}
-        _count_elements(trace, _lanes(edges.to_bytes(len(packed), "little")))
-        if len(cache) >= self.fold_memo_limit:
-            cache.popitem(last=False)
-            self.fold_evictions += 1
-        cache[packed] = trace
         return trace
 
     def ijon_set(self, slot: int) -> None:

@@ -161,9 +161,6 @@ class NyxNetFuzzer:
         self.stats.chain_commits = snap_stats.overlay_commits
         self.stats.chain_restores = snap_stats.chain_restores
         self.stats.chain_deepest = snap_stats.deepest_chain
-        tracer = self.executor.tracer
-        if tracer is not None:
-            self.stats.fold_memo_evictions = tracer.fold_evictions
         injector = getattr(self.executor.interceptor, "injector", None)
         if injector is not None:
             self.stats.faults_injected = injector.faults_injected

@@ -22,7 +22,6 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 #: :meth:`CampaignStats.merge` combines two workers' values: the
 #: deepest chain, the sum of every other count.
 HOST_COUNTERS = (
-    ("fold_memo_evictions", operator.add),
     ("checkpoints_written", operator.add),
     ("checkpoint_epochs_pruned", operator.add),
     ("checkpoint_verifications", operator.add),
@@ -79,10 +78,7 @@ class CampaignStats:
     #: These describe how cheaply the host computed the campaign, never
     #: what the campaign computed, so they are excluded from
     #: :meth:`as_dict` (and hence from ``stats_checksum``): a campaign
-    #: must hash the same however many fold-memo entries it evicted or
-    #: checkpoints it wrote.
-    #: Entries evicted from the tracer's LRU fold memo.
-    fold_memo_evictions: int = 0
+    #: must hash the same however many checkpoints it wrote.
     #: Checkpoints the durable layer persisted.
     checkpoints_written: int = 0
     #: Stale checkpoint epochs unlinked (and directory-fsync'd) away.

@@ -136,9 +136,6 @@ class Kernel:
             DIRECTORY_PAGES * 4096)
         self._regions: Dict[str, Tuple[int, int]] = {}
         self._blob_cache: Dict[str, bytes] = {}
-        # Bump pointer the cached "_directory" blob was pickled with;
-        # -1 forces the first flush to write a directory.
-        self._dir_bump: int = -1
         # Host-side per-pid (syscall interface, component key) pairs:
         # both are pure functions of the pid, so one pair serves every
         # round.
@@ -169,14 +166,16 @@ class Kernel:
         """Serialize (changed) components into their memory regions.
 
         Called at test-case boundaries and before snapshots so that the
-        dirty-page log reflects the guest state churn of the test.
+        dirty-page log reflects the guest state churn of the test.  The
+        directory (region table plus bump pointer) is rewritten only
+        when the region layout changed or on ``full``: only this method
+        allocates, so otherwise memory already holds it.
         """
         components = self._components()
         keys = set(components) if full else set(self._touched) & set(components)
         # Components that disappeared since the last flush.
         removed = [k for k in self._regions if k not in components]
         allocator = self.machine.allocator
-        changed_any = bool(removed)
         layout_changed = bool(removed)
         for key in sorted(keys):
             blob = pickle.dumps(components[key], protocol=pickle.HIGHEST_PROTOCOL)
@@ -192,100 +191,45 @@ class Kernel:
                 region = Region(*region_info)
             allocator.write_blob(region, blob)
             self._blob_cache[key] = blob
-            changed_any = True
         for key in removed:
             del self._regions[key]
             self._blob_cache.pop(key, None)
         self._touched.clear()
-        if changed_any or full:
-            # The directory pickles the region table plus the bump
-            # pointer; in steady state neither moves between flushes
-            # (regions are reused, nothing allocates), so the previous
-            # directory blob is provably still current and re-pickling
-            # it would only reproduce the cached bytes.
-            bump = allocator.state()
-            if (layout_changed or bump != self._dir_bump
-                    or "_directory" not in self._blob_cache):
-                directory = {"regions": self._regions, "bump": bump}
-                dir_blob = pickle.dumps(directory,
-                                        protocol=pickle.HIGHEST_PROTOCOL)
-                if self._blob_cache.get("_directory") != dir_blob:
-                    allocator.write_blob(
-                        Region(self._directory_region.start_page,
-                               self._directory_region.num_pages), dir_blob)
-                    self._blob_cache["_directory"] = dir_blob
-                self._dir_bump = bump
+        if layout_changed or full:
+            directory = {"regions": self._regions, "bump": allocator.state()}
+            allocator.write_blob(
+                self._directory_region,
+                pickle.dumps(directory, protocol=pickle.HIGHEST_PROTOCOL))
 
     def reload_from_memory(self) -> None:  # nyx: hot
         """Rebuild host-side kernel objects from guest memory.
 
-        Components whose restored blob is byte-identical to the last
-        flushed blob *and* that were not touched since that flush are
-        reused as-is: by the flush contract the host object already
-        equals the serialized state, so unpickling would only rebuild
-        an identical graph.  (A component touched since its last flush
-        may have drifted host-side and is always rebuilt.)
+        A component is reused as-is when it was not touched since the
+        last flush and its restored blob is byte-identical to the blob
+        that flush cached: by the flush contract the host object already
+        equals the serialized state, so unpickling would only rebuild an
+        identical graph.  Every other component is unpickled.
         """
         allocator = self.machine.allocator
+        directory = pickle.loads(allocator.read_blob(self._directory_region))
+        allocator.set_state(directory["bump"])
+        self._regions = directory["regions"]
         old_cache = self._blob_cache
         touched = self._touched
-        # Pages the restore that triggered this reload actually rewrote
-        # (None = unknown, e.g. a freshly adopted shared root).  When
-        # the state directory itself is byte-unchanged, a region none
-        # of whose pages were rewritten provably still holds the bytes
-        # the cache recorded — no read, no compare needed.  The same
-        # argument applies to the directory region itself: if the
-        # restore rewrote none of its pages, the cached directory blob
-        # is still what memory holds, so reading and unpickling it
-        # would only rebuild the current region table.
-        reset_pages = self.machine.snapshots.last_reset_pages
-        dir_region = self._directory_region
-        blob = None
-        if reset_pages is not None and "_directory" in old_cache:
-            for page in range(dir_region.start_page,
-                              dir_region.start_page + dir_region.num_pages):
-                if page in reset_pages:
-                    break
-            else:
-                blob = old_cache["_directory"]
-                allocator.set_state(self._dir_bump)
-        if blob is None:
-            blob = allocator.read_blob(dir_region)
-            if blob == old_cache.get("_directory"):
-                allocator.set_state(self._dir_bump)
-            else:
-                directory = pickle.loads(blob)
-                allocator.set_state(directory["bump"])
-                self._regions = dict(directory["regions"])
-                self._dir_bump = directory["bump"]
         old = self._components()
-        unchanged_layout = (reset_pages is not None
-                            and old_cache.get("_directory") == blob)
         self.processes = {}
         self.sockets = {}
         self.epolls = {}
         self.pipes = {}
-        self._blob_cache = {"_directory": blob}
+        self._blob_cache = {}
         for key, (start, npages) in self._regions.items():
-            obj = comp_blob = None
-            if key not in touched:
-                # set.isdisjoint(range) is one C-level probe sweep; a
-                # genexp here would allocate a frame per component on
-                # every reset (hot-lint NYX074).
-                if unchanged_layout and reset_pages.isdisjoint(
-                        range(start, start + npages)):
-                    comp_blob = old_cache.get(key)
-                    if comp_blob is not None:
-                        obj = old.get(key)
-                if obj is None:
-                    comp_blob = allocator.read_blob(Region(start, npages))
-                    if old_cache.get(key) == comp_blob:
-                        obj = old.get(key)
-            if comp_blob is None:
-                comp_blob = allocator.read_blob(Region(start, npages))
+            blob = allocator.read_blob(Region(start, npages))
+            obj = None
+            if key not in touched and old_cache.get(key) == blob:
+                obj = old.get(key)
             if obj is None:
-                obj = pickle.loads(comp_blob)
-            self._blob_cache[key] = comp_blob
+                obj = pickle.loads(blob)
+            self._blob_cache[key] = blob
             if key == "globals":
                 self.g = obj
             elif key == "fs":

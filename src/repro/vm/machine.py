@@ -33,8 +33,7 @@ class Machine:
     def __init__(self, memory_bytes: int = DEFAULT_MEMORY_BYTES,
                  disk_sectors: int = DEFAULT_DISK_SECTORS,
                  costs: Optional[CostModel] = None,
-                 clock: Optional[SimClock] = None,
-                 snapshot_verify_every: int = 1) -> None:
+                 clock: Optional[SimClock] = None) -> None:
         self.costs = costs or DEFAULT_COSTS
         self.clock = clock or SimClock()
         self.memory = GuestMemory(memory_bytes)
@@ -42,8 +41,7 @@ class Machine:
         self.disk = EmulatedDisk(disk_sectors)
         self.allocator = RegionAllocator(self.memory)
         self.snapshots = SnapshotManager(
-            self.memory, self.devices, self.disk, self.clock, self.costs,
-            verify_every=snapshot_verify_every)
+            self.memory, self.devices, self.disk, self.clock, self.costs)
         # Boot-time host wiring (restore callbacks, hypercall handler):
         # registered once before the root snapshot, never per-exec.
         self._on_restore: List[Callable[[], None]] = []  # nyx: allow[reset]

@@ -9,27 +9,20 @@ exactly as §2.3 describes:
 * Nyx's **dirty-page stack**, which records each page the first time it
   is dirtied so a reset never needs to scan the whole bitmap.
 
-Pages live in one of two tiers (the write-combining scheme from
-docs/performance.md):
-
-* **sealed** — an immutable ``bytes`` object.  Sealed pages are the
-  only ones ever shared: root snapshots, incremental-snapshot mirrors
-  and fleet-wide CoW all hold references to sealed pages, so sharing a
-  reference *is* the copy-on-write primitive.  An all-zero page is
-  shared via a sentinel, the analogue of lazily allocated guest memory.
-* **unsealed** — a private mutable ``bytearray``.  The first write to a
-  page since the last snapshot boundary copies it to a bytearray;
-  subsequent writes mutate that buffer in place instead of rebuilding a
-  4 KiB ``bytes`` object per store.  Unsealed pages are never visible
-  outside this class: every API that could leak a page reference
-  (:meth:`page`, :meth:`pages_snapshot`, :meth:`page_identities`) seals
-  first, so the CoW invariant is preserved by construction.
+Every page is an immutable ``bytes`` object, so pages are safe to
+share: root snapshots, chain-layer mirrors and fleet-wide CoW all hold
+references to them, and sharing a reference *is* the copy-on-write
+primitive.  An all-zero page is shared via a sentinel, the analogue of
+lazily allocated guest memory.  A write replaces the page with a new
+object (a whole-page write adopts an immutable payload by reference).
+The guest kernel's flush writes each changed page once per flush, so a
+mutable in-place page buffer would save no copies.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 PAGE_SIZE = 4096
 #: ``PAGE_SIZE == 1 << PAGE_SHIFT``; the hot paths use shifts/masks
@@ -64,8 +57,6 @@ class GuestMemory:  # nyx: allow[reset]
         self.num_pages = -(-size_bytes // PAGE_SIZE)
         self.size_bytes = self.num_pages * PAGE_SIZE
         self._pages: List[bytes] = [_ZERO_PAGE] * self.num_pages
-        #: Indices of pages currently in the unsealed (bytearray) tier.
-        self._unsealed: set = set()
         #: KVM-style dirty bitmap, one byte per page.
         self.dirty_bitmap = bytearray(self.num_pages)
         #: Nyx-style stack of pages dirtied since the last flush.
@@ -73,49 +64,21 @@ class GuestMemory:  # nyx: allow[reset]
         #: Count of pages ever dirtied (statistics only).
         self.total_dirtied = 0
 
-    # -- sealing -----------------------------------------------------------
-
-    def seal_page(self, index: int) -> bytes:
-        """Freeze page ``index`` back to immutable ``bytes`` and return it.
-
-        Idempotent; sealed pages are returned as-is.  Does not touch the
-        dirty log — sealing changes representation, not content.
-        """
-        page = self._pages[index]
-        if type(page) is bytearray:
-            page = bytes(page)
-            self._pages[index] = page
-            self._unsealed.discard(index)
-        return page
-
-    def seal_all(self) -> None:
-        """Freeze every unsealed page (snapshot-boundary bulk seal)."""
-        if not self._unsealed:
-            return
-        pages = self._pages
-        for idx in sorted(self._unsealed):
-            pages[idx] = bytes(pages[idx])
-        self._unsealed.clear()
-
     # -- raw page access -------------------------------------------------
 
     def page(self, index: int) -> bytes:
-        """Return the current content of page ``index`` (always sealed).
-
-        The returned object is immutable and safe to alias in snapshot
-        structures; if the page was unsealed it is sealed in place.
-        """
+        """Return the current content of page ``index``: an immutable
+        object, safe to alias in snapshot structures."""
         self._check_page(index)
-        return self.seal_page(index)
+        return self._pages[index]
 
     def set_page(self, index: int, content: bytes, *, log: bool = True) -> None:
         """Replace page ``index``; marks it dirty unless ``log`` is False.
 
         Restores pass ``log=False`` — resetting a page must not make it
         appear dirty again, or the next reset would do wasted work.
-        ``content`` is coerced to immutable ``bytes``, so the page
-        lands sealed (this is the path snapshot restores take with CoW
-        references).
+        ``content`` is coerced to immutable ``bytes`` (snapshot restores
+        pass CoW references, which are adopted as-is).
         """
         self._check_page(index)
         if len(content) != PAGE_SIZE:
@@ -123,7 +86,6 @@ class GuestMemory:  # nyx: allow[reset]
         if type(content) is not bytes:
             content = bytes(content)
         self._pages[index] = content
-        self._unsealed.discard(index)
         if log:
             self.mark_dirty(index)
 
@@ -132,47 +94,23 @@ class GuestMemory:  # nyx: allow[reset]
         """Reset every page in ``indices`` to ``source[idx]`` without
         dirty-logging — the batch form of ``set_page(..., log=False)``
         used by snapshot restores (one call instead of one per page).
-
-        ``source`` must hold sealed pages (snapshot page arrays do).
         """
         pages = self._pages
-        unsealed = self._unsealed
-        if unsealed:
-            for idx in indices:
-                pages[idx] = source[idx]
-                unsealed.discard(idx)
-        else:
-            for idx in indices:
-                pages[idx] = source[idx]
+        for idx in indices:
+            pages[idx] = source[idx]
 
-    def sealed_pages(self, indices) -> Dict[int, bytes]:  # nyx: hot
-        """``{idx: sealed page}`` for every page in ``indices`` — the
-        batch form of :meth:`page` used when a chain overlay captures
-        its write delta (one call instead of one per touched page).
+    def pages_at(self, indices) -> Dict[int, bytes]:  # nyx: hot
+        """``{idx: page}`` for every page in ``indices`` — the batch
+        form of :meth:`page` used when a chain layer captures its write
+        delta (one call instead of one per touched page).
         """
         pages = self._pages
-        unsealed = self._unsealed
-        out: Dict[int, bytes] = {}
-        if unsealed:
-            for idx in indices:
-                page = pages[idx]
-                if idx in unsealed:
-                    page = bytes(page)
-                    pages[idx] = page
-                    unsealed.discard(idx)
-                out[idx] = page
-        else:
-            for idx in indices:
-                out[idx] = pages[idx]
-        return out
+        return {idx: pages[idx] for idx in indices}
 
     def pages_snapshot(self) -> List[bytes]:
-        """Shallow copy of the page array (CoW view of all memory).
-
-        Seals every page first: the returned list must stay valid when
-        shared across machines or stored in a root snapshot.
-        """
-        self.seal_all()
+        """Shallow copy of the page array (CoW view of all memory); it
+        stays valid when shared across machines or stored in a root
+        snapshot."""
         return list(self._pages)
 
     def page_identities(self) -> List[int]:
@@ -181,10 +119,8 @@ class GuestMemory:  # nyx: allow[reset]
         Pages shared with a root snapshot (or the zero-page sentinel)
         alias the same objects, so unique-id counting across a fleet of
         machines measures the true memory footprint of §5.3's shared
-        root snapshots.  Seals first so identities are stable until the
-        next write.
+        root snapshots.
         """
-        self.seal_all()
         return [id(p) for p in self._pages]
 
     # -- byte-granular access ---------------------------------------------
@@ -198,8 +134,7 @@ class GuestMemory:  # nyx: allow[reset]
         end = page_off + length
         if end <= PAGE_SIZE:
             # Single-page fast path: one slice, no assembly buffer.
-            chunk = self._pages[addr >> PAGE_SHIFT][page_off:end]
-            return chunk if type(chunk) is bytes else bytes(chunk)
+            return self._pages[addr >> PAGE_SHIFT][page_off:end]
         parts = []
         remaining = length
         offset = addr
@@ -265,24 +200,16 @@ class GuestMemory:  # nyx: allow[reset]
         return written
 
     def _write_chunk(self, page_idx: int, page_off: int, data, length: int) -> None:
-        """Store one intra-page chunk, unsealing or replacing the page."""
-        if length == PAGE_SIZE and page_off == 0:
-            # Whole-page store: adopt immutable payloads by reference,
-            # seal the page for free.
-            if type(data) is bytes:
-                self._pages[page_idx] = data
-            else:
-                self._pages[page_idx] = bytes(data)
-            self._unsealed.discard(page_idx)
+        """Store one intra-page chunk as a new immutable page."""
+        pages = self._pages
+        if length == PAGE_SIZE:
+            # Whole-page store: ``bytes()`` of a ``bytes`` payload is the
+            # payload itself, so immutable data is adopted by reference.
+            pages[page_idx] = bytes(data)
         else:
-            page = self._pages[page_idx]
-            if type(page) is bytearray:
-                page[page_off:page_off + length] = data
-            else:
-                buf = bytearray(page)
-                buf[page_off:page_off + length] = data
-                self._pages[page_idx] = buf
-                self._unsealed.add(page_idx)
+            page = pages[page_idx]
+            pages[page_idx] = b"".join(
+                (page[:page_off], data, page[page_off + length:]))
         if not self.dirty_bitmap[page_idx]:
             self.dirty_bitmap[page_idx] = 1
             self.dirty_stack.append(page_idx)
@@ -433,25 +360,3 @@ class RegionAllocator:  # nyx: allow[reset]
     def set_state(self, next_page: int) -> None:
         """Restore the bump pointer from a snapshot."""
         self._next_page = next_page
-
-    @property
-    def pages_used(self) -> int:
-        return self._next_page
-
-    def writes_fit(self, blob_len: int, region: Optional[Region]) -> bool:
-        """Whether a blob of ``blob_len`` fits ``region`` (None = no)."""
-        return region is not None and blob_len + 8 <= region.size
-
-
-def pages_for(nbytes: int) -> int:
-    """Number of pages needed to hold ``nbytes``."""
-    return -(-nbytes // PAGE_SIZE)
-
-
-def iter_page_chunks(data: bytes) -> Iterable[bytes]:
-    """Yield PAGE_SIZE chunks of ``data``, zero-padding the last one."""
-    for off in range(0, len(data), PAGE_SIZE):
-        chunk = data[off:off + PAGE_SIZE]
-        if len(chunk) < PAGE_SIZE:
-            chunk = chunk + bytes(PAGE_SIZE - len(chunk))
-        yield chunk

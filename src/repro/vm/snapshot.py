@@ -19,8 +19,7 @@ own CRC32s.
   the stale copies of the previous layer 1 to root references (a
   per-page charge only layer 1 pays).  Because real copies accumulate,
   the mirror is **re-mirrored** to a clean CoW view of the root "every
-  2,000 snapshots created".  Its validation may be amortized
-  (``verify_every``).
+  2,000 snapshots created".
 * **Deeper layers** are fresh per push: a CoW view of the parent's
   mirror plus real copies of the pages written since the parent's
   capture.
@@ -38,7 +37,9 @@ the paper (per-dirty-page work + a fixed hypercall/device cost).  The
 *simulated* charges are a function of the dirty/diverged sets only —
 the host-side bookkeeping below (incremental CRC maintenance, the
 since-create delta set, identity-memoized verification) reduces Python
-work per operation without moving a single charge.
+work per operation without moving a single charge.  Which pages a
+restore rewrote stays inside this module: consumers that cache guest
+state re-read it from memory after every restore.
 """
 
 from __future__ import annotations
@@ -179,31 +180,23 @@ class SnapshotManager:  # nyx: allow[reset]
     snapshot handles, divergence bookkeeping and CRC tables are
     definitionally cross-exec state.
 
-    ``verify_every`` amortizes the pre-restore checksum validation of
-    layer 1: 1 (the default) validates on every restore, exactly the
-    historical behaviour; N > 1 validates on every N-th restore.  A
-    full validation is always forced right after a corruption was
-    detected and on the first restore of a rebuilt layer 1, so an
-    injected fault is never outrun by the amortization.  Deeper layers
-    always validate.
+    Every restore validates every layer it crosses.
     """
 
     #: Layout version of :meth:`snapshot_state` (durability lint NYX062).
     #: 2: one chain — ``chain_depth`` replaced ``chain_overlays`` and
     #: ``base_depth``.
-    STATE_FORMAT = 2
+    #: 3: validation has no schedule — ``verify_countdown`` is gone.
+    STATE_FORMAT = 3
 
     def __init__(self, memory: GuestMemory, devices: DeviceBoard,
-                 disk: EmulatedDisk, clock: SimClock, costs: CostModel,
-                 verify_every: int = 1) -> None:
-        if verify_every < 1:
-            raise ValueError("verify_every must be >= 1")
+                 disk: EmulatedDisk, clock: SimClock,
+                 costs: CostModel) -> None:
         self._memory = memory
         self._devices = devices
         self._disk = disk
         self._clock = clock
         self._costs = costs
-        self.verify_every = verify_every
         #: Perf counters; recounted by the resumed campaign's fresh
         #: machine (CampaignStats travels independently).
         self.stats = SnapshotStats()  # nyx: state[ephemeral]
@@ -237,8 +230,6 @@ class SnapshotManager:  # nyx: allow[reset]
         #: ``touched`` set travels as ``mirror_touched``.
         self._layer1 = ChainLayer([])  # nyx: state[ephemeral]
         self._creates_since_remirror = 0
-        #: Restores until the next amortized layer-1 validation is due.
-        self._verify_countdown = 0
         #: Chain depth the live VM state currently descends from
         #: (0 = root, exactly when the chain is empty).  Restores and
         #: captures move it.
@@ -250,12 +241,6 @@ class SnapshotManager:  # nyx: allow[reset]
         #: Optional :class:`~repro.faults.injector.FaultInjector` hooked
         #: into the restore paths (fault-injection campaigns).
         self.injector: Optional[Any] = None
-        #: Page indices the most recent restore actually rewrote, or
-        #: ``None`` when every page may have changed (adopting a shared
-        #: root).  Restore consumers (the guest kernel's reload) use it
-        #: to skip re-reading state regions whose pages provably kept
-        #: their bytes across the reset.
-        self.last_reset_pages: Optional[set] = None  # nyx: state[ephemeral]
 
     # -- root snapshot ------------------------------------------------------
 
@@ -310,7 +295,6 @@ class SnapshotManager:  # nyx: allow[reset]
         """
         if root.num_pages != self._memory.num_pages:
             raise SnapshotError("shared root has mismatched memory geometry")
-        self.last_reset_pages = None  # every page changes: no fast path
         # Load the shared image into this machine (CoW references).
         for idx, page in enumerate(root.pages):
             self._memory.set_page(idx, page, log=False)
@@ -330,7 +314,6 @@ class SnapshotManager:  # nyx: allow[reset]
         self._layers = []
         self._layer1 = ChainLayer(list(root.pages))
         self._creates_since_remirror = 0
-        self._verify_countdown = 0
         self._base_depth = 0
         self._disk_since_base = set()
 
@@ -343,7 +326,6 @@ class SnapshotManager:  # nyx: allow[reset]
         diverged = self._diverged
         self._memory.restore_pages(diverged, root.pages)
         n = len(diverged)
-        self.last_reset_pages = diverged
         self._diverged = set()
         self._since_create = set()
         self._private = set()
@@ -442,14 +424,11 @@ class SnapshotManager:  # nyx: allow[reset]
             to_copy = ((touched & since) | (touched - previous)
                        if previous else touched)
             self._creates_since_remirror += 1
-            # A freshly (re)built layer 1 always gets a full validation
-            # on its first restore, even under an amortized verify_every.
-            self._verify_countdown = 0
         mirror = layer.mirror
         checksums = layer.checksums
         verified = layer.verified_ids
         crc32 = zlib.crc32
-        for idx, page in self._memory.sealed_pages(to_copy).items():
+        for idx, page in self._memory.pages_at(to_copy).items():
             mirror[idx] = page
             checksums[idx] = crc32(page)
             verified[idx] = id(page)
@@ -497,8 +476,7 @@ class SnapshotManager:  # nyx: allow[reset]
                                 % (depth, top))
         if self.injector is not None:
             self.injector.on_incremental_restore(self)
-        self._verify(1)
-        for d in range(2, depth + 1):
+        for d in range(1, depth + 1):
             self._verify(d)
         base = self._base_depth
         # Layers strictly between base and target (none for the usual
@@ -519,7 +497,6 @@ class SnapshotManager:  # nyx: allow[reset]
         target = layers[depth - 1]
         view = target.mirror
         self._memory.restore_pages(reset, view)
-        self.last_reset_pages = set(reset)
         diverged = self._diverged
         private = self._private
         root_pages = self._root.pages
@@ -637,12 +614,9 @@ class SnapshotManager:  # nyx: allow[reset]
         restore crosses it.
 
         Cost: one pass over the real copies, charged like a page copy
-        each.  With ``verify_every`` > 1, layer 1 skips (and does not
-        charge) the pass on all but every N-th restore; detection of an
-        injected fault is then delayed by at most N-1 restores.
-        Host-side, pages whose object identity is unchanged since their
-        last successful check skip the CRC recompute — immutable pages
-        cannot change content without changing identity.
+        each.  Host-side, pages whose object identity is unchanged since
+        their last successful check skip the CRC recompute — immutable
+        pages cannot change content without changing identity.
 
         On mismatch the corrupt entries are healed back to CoW root
         references (the root image is immutable and trustworthy, and
@@ -651,11 +625,6 @@ class SnapshotManager:  # nyx: allow[reset]
         everything deeper — and :class:`SnapshotCorruption` tells the
         caller to rebuild from the root.  Live memory is untouched.
         """
-        if depth == 1:
-            if self._verify_countdown > 0:
-                self._verify_countdown -= 1
-                return
-            self._verify_countdown = self.verify_every - 1
         layer = self._layers[depth - 1]
         mirror = layer.mirror
         checksums = layer.checksums
@@ -682,9 +651,6 @@ class SnapshotManager:  # nyx: allow[reset]
         self._layers = []
         self._base_depth = 0
         self._disk_since_base = set()
-        # Force a full validation on the first restore of the rebuilt
-        # chain regardless of the amortization schedule.
-        self._verify_countdown = 0
         self.stats.corruption_detected += 1
         raise SnapshotCorruption(
             "chain layer %d failed validation on %d page(s): %s"
@@ -698,9 +664,8 @@ class SnapshotManager:  # nyx: allow[reset]
         Taken at a step boundary (no layer above layer 1 live), the
         only snapshot state that influences *future* sim charges is:
         which layer-1 mirror entries are real copies (the stale revert
-        at the next create charges per page), how far the re-mirror
-        period has advanced, and where the amortized validation
-        schedule stands.  Page contents, per-page CRCs and the
+        at the next create charges per page) and how far the re-mirror
+        period has advanced.  Page contents, per-page CRCs and the
         verified-identity memo are deliberately excluded — they are
         host-side caches rebuilt by the next ``create_incremental``
         (and verified identities are process-local ``id()``s that must
@@ -709,7 +674,6 @@ class SnapshotManager:  # nyx: allow[reset]
         """
         return {"mirror_touched": sorted(self._layer1.touched),
                 "creates_since_remirror": self._creates_since_remirror,
-                "verify_countdown": self._verify_countdown,
                 "chain_depth": len(self._layers)}
 
     def restore_state(self, state: dict) -> None:
@@ -733,7 +697,6 @@ class SnapshotManager:  # nyx: allow[reset]
         layer1.checksums = {}
         layer1.verified_ids = {}
         self._creates_since_remirror = int(state["creates_since_remirror"])
-        self._verify_countdown = int(state["verify_countdown"])
         self._layers = []
         self._base_depth = 0
         self._disk_since_base = set()

@@ -178,16 +178,6 @@ def loop(n: int) -> int:
     return total
 
 
-def alternating(n: int) -> int:
-    total = 0
-    for i in range(n):
-        if i % 2:
-            total += i
-        else:
-            total -= i
-    return total
-
-
 # -- the 22-packet lightftp session seed (anchors and chain tests) ----------
 
 #: One full anonymous FTP session: a long message exchange, the regime

@@ -7,8 +7,6 @@ from repro.coverage.bitmap import (BUCKET_LOOKUP, CoverageMap, MAP_SIZE,
                                    classify_counts, count_bits)
 from repro.coverage.instrument import SINK, load
 from repro.coverage.tracer import TracerCore
-from repro.fuzz.campaign import build_campaign
-from repro.targets.lightftp import PROFILE as LIGHTFTP
 
 from tests import helpers
 
@@ -214,47 +212,3 @@ class TestFold:
         tracer.run(_emit, sites)
         trace = tracer.take_trace()
         assert list(trace.items()) == list(reference_fold(sites).items())
-
-
-# ----------------------------------------------------------------------
-# fold-memo LRU bound
-# ----------------------------------------------------------------------
-
-
-class TestFoldMemoBound:
-    def test_cache_stays_bounded_and_counts_evictions(self):
-        tracer = TracerCore(fold_memo_limit=4)
-        for n in range(10):
-            tracer.begin()
-            tracer.run(traced.alternating, n)
-            tracer.take_trace()
-        assert len(tracer._fold_cache) <= 4
-        assert tracer.fold_evictions > 0
-
-    def test_refold_after_eviction_is_identical(self):
-        # An evicted stream re-folds to the same trace a fresh,
-        # unbounded tracer computes: the memo is a cache, not state.
-        small = TracerCore(fold_memo_limit=2)
-        first = {}
-        for n in (3, 4, 5, 6):
-            small.begin()
-            small.run(traced.alternating, n)
-            trace = dict(small.take_trace())
-            if n == 3:
-                first = trace
-        small.begin()
-        small.run(traced.alternating, 3)  # 3 was evicted by now
-        refolded = dict(small.take_trace())
-        assert refolded == first
-
-        fresh = TracerCore()
-        fresh.begin()
-        fresh.run(traced.alternating, 3)
-        assert dict(fresh.take_trace()) == first
-
-    def test_campaign_stamps_eviction_counter(self):
-        handles = build_campaign(LIGHTFTP, policy="balanced", seed=2,
-                                 time_budget=1e9, max_execs=80)
-        handles.executor.tracer.fold_memo_limit = 2
-        stats = handles.fuzzer.run_campaign()
-        assert stats.fold_memo_evictions > 0

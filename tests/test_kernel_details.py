@@ -13,7 +13,7 @@ from repro.guestos.process import Program
 from repro.guestos.sockets import Socket, SockDomain, SockType
 from repro.vm.machine import Machine
 
-from tests.helpers import EchoServer, make_machine
+from tests.helpers import EchoServer, boot_echo, make_machine
 
 
 class TestFdTable:
@@ -269,9 +269,51 @@ class TestSerializationEdgeCases:
         kernel.run()
         kernel.flush_to_memory(full=True)
         api = kernel.api_for(proc.pid)
+        sid = proc.fdtable.get(proc.program.listen_fd).obj_id
+        assert "sock:%d" % sid in kernel._regions
         api.close(proc.program.listen_fd)
         kernel.flush_to_memory()
         kernel.reload_from_memory()
-        assert all(not key.startswith("sock:")
-                   for key in kernel._regions) or \
-            len([k for k in kernel._regions if k.startswith("sock:")]) == 0
+        assert "sock:%d" % sid not in kernel._regions
+        assert sid not in kernel.sockets
+
+
+class TestReloadReuse:
+    """The one reload rule: a component's host object is reused when it
+    was not touched since the last flush and its restored bytes equal
+    the blob that flush cached; every other component is unpickled."""
+
+    def test_unchanged_component_is_reused_changed_one_rebuilt(self):
+        machine, kernel = boot_echo(41)
+        fs = kernel.fs
+        conn = kernel.external_connect(41)
+        conn.send(b"hello")
+        kernel.run()
+        proc = kernel.processes[1]
+        assert proc.program.seen == [b"hello"]
+        kernel.flush_to_memory()
+        machine.restore_root()
+        assert kernel.fs is fs
+        assert kernel.processes[1] is not proc
+        assert kernel.processes[1].program.seen == []
+
+    def test_touched_component_is_rebuilt_without_a_flush(self):
+        # A fleet worker's recovery restores without flushing first:
+        # the fs blob in memory still equals the cache, but the host
+        # object drifted and was marked touched.
+        machine, kernel = boot_echo(42)
+        kernel.fs.create("/drift")
+        kernel.touch("fs")
+        machine.restore_root()
+        assert not kernel.fs.exists("/drift")
+
+    def test_restore_rewinds_the_bump_pointer_and_process_table(self):
+        machine, kernel = boot_echo(43)
+        bump = machine.allocator.state()
+        kernel.spawn(EchoServer(44))
+        kernel.run()
+        kernel.flush_to_memory()
+        assert machine.allocator.state() > bump
+        machine.restore_root()
+        assert machine.allocator.state() == bump
+        assert sorted(kernel.processes) == [1]

@@ -97,22 +97,6 @@ def test_incremental_splits_history_exactly(writes, split_raw):
         assert machine.memory.read(page * PAGE_SIZE, 1)[0] == 0
 
 
-def _force_always_immutable(memory):
-    """Turn a live GuestMemory into the pre-optimization reference:
-    every write immediately reseals its page to immutable ``bytes``,
-    exactly what the old always-immutable implementation did."""
-    from repro.vm.memory import GuestMemory
-
-    orig = GuestMemory._write_chunk
-
-    def sealing_chunk(page_idx, page_off, data, length):
-        orig(memory, page_idx, page_off, data, length)
-        memory.seal_page(page_idx)
-
-    memory._write_chunk = sealing_chunk
-    return memory
-
-
 _OPS = st.lists(
     st.one_of(
         st.tuples(st.just("write"),
@@ -130,49 +114,50 @@ _OPS = st.lists(
 
 @given(_OPS)
 @settings(max_examples=40, deadline=None)
-def test_sealing_matches_always_immutable_reference(ops):
-    """Snapshot-boundary sealing is invisible: any interleaving of
-    writes, create_incremental, restore_incremental and restore_root
-    yields byte-identical memory, identical SnapshotStats page counts
-    and an identical sim clock vs. the old always-immutable
-    implementation."""
-    fast = _machine()
-    slow = _machine()
-    _force_always_immutable(slow.memory)
-    fast.capture_root()
-    slow.capture_root()
+def test_memory_matches_flat_model(ops):
+    """Any interleaving of sub-page and page-straddling writes,
+    create_incremental, restore_incremental and restore_root leaves
+    live memory, the root image and layer 1's mirror byte-identical to
+    a flat model: one ``bytearray`` for live memory and a ``bytes``
+    copy for each snapshot.  Every page stays an immutable ``bytes``
+    object, so no write can reach a snapshot through a shared page."""
+    machine = _machine()
+    memory = machine.memory
+    size = memory.size_bytes
+    machine.capture_root()
+    live = bytearray(size)
+    root = bytes(live)
+    layer1 = None
 
     for op in ops:
         kind = op[0]
         if kind == "write":
             _, addr, data = op
-            fast.memory.write(addr, data)
-            slow.memory.write(addr, data)
+            memory.write(addr, data)
+            live[addr:addr + len(data)] = data
         elif kind == "write_span":
             _, page, data = op
             addr = page * PAGE_SIZE + PAGE_SIZE - 32  # straddles a boundary
-            data = data[:fast.memory.size_bytes - addr]  # clamp to memory end
-            fast.memory.write(addr, data)
-            slow.memory.write(addr, data)
+            data = data[:size - addr]  # clamp to memory end
+            memory.write(addr, data)
+            live[addr:addr + len(data)] = data
         elif kind == "create":
-            assert fast.create_incremental() == slow.create_incremental()
+            machine.create_incremental()
+            layer1 = bytes(live)
         elif kind == "restore_inc":
-            if fast.snapshots.chain_depth:
-                assert slow.snapshots.chain_depth
-                assert fast.restore_incremental() == slow.restore_incremental()
-            else:
-                assert not slow.snapshots.chain_depth
+            if layer1 is not None:
+                machine.restore_incremental()
+                live[:] = layer1
         else:
-            assert fast.restore_root() == slow.restore_root()
+            machine.restore_root()
+            live[:] = root
+            layer1 = None
 
-        size = fast.memory.size_bytes
-        assert fast.memory.read(0, size) == slow.memory.read(0, size)
-
-    assert fast.snapshots.stats.as_dict() == slow.snapshots.stats.as_dict()
-    assert fast.snapshots.private_page_count() == \
-        slow.snapshots.private_page_count()
-    assert fast.snapshots.diverged_pages() == slow.snapshots.diverged_pages()
-    assert fast.clock.now == slow.clock.now
+        assert memory.read(0, size) == live
+        assert all(type(page) is bytes for page in memory.pages_snapshot())
+        assert b"".join(machine.snapshots.root.pages) == root
+        if layer1 is not None:
+            assert b"".join(machine.snapshots._layers[0].mirror) == layer1
 
 
 @given(st.integers(1, 6), st.integers(8, N_PAGES))

@@ -163,20 +163,20 @@ class TestHostCounterPurity:
     what it computed, so they stay out of ``as_dict`` and the
     checksum."""
 
-    HOST_KEYS = ("fold_memo_evictions", "checkpoints_written",
-                 "checkpoint_epochs_pruned", "checkpoint_verifications",
-                 "checkpoint_divergences", "chain_pushes", "chain_commits",
-                 "chain_restores", "chain_deepest")
+    HOST_KEYS = ("checkpoints_written", "checkpoint_epochs_pruned",
+                 "checkpoint_verifications", "checkpoint_divergences",
+                 "chain_pushes", "chain_commits", "chain_restores",
+                 "chain_deepest")
 
     def test_as_dict_excludes_host_counters(self):
         stats = CampaignStats()
-        stats.fold_memo_evictions = 9
+        stats.checkpoints_written = 9
         as_dict = stats.as_dict()
         for key in self.HOST_KEYS:
             assert key not in as_dict
         counters = stats.host_counters()
         assert set(counters) == set(self.HOST_KEYS)
-        assert counters["fold_memo_evictions"] == 9
+        assert counters["checkpoints_written"] == 9
 
     def test_merge_sums_host_counters(self):
         a, b = CampaignStats(), CampaignStats()

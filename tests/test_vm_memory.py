@@ -4,8 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.vm.memory import (PAGE_SIZE, GuestMemory, MemoryError_,
-                             RegionAllocator, iter_page_chunks, pages_for)
+from repro.vm.memory import PAGE_SIZE, GuestMemory, MemoryError_, RegionAllocator
 
 
 class TestGeometry:
@@ -53,42 +52,14 @@ class TestReadWrite:
 
 
 class TestSealingTiers:
-    """The write-combining scheme: unsealed bytearray pages vs sealed
-    ``bytes`` pages (docs/performance.md)."""
-
-    def test_subpage_write_unseals_then_page_reseals(self):
-        mem = GuestMemory(4 * PAGE_SIZE)
-        mem.write(10, b"abc")
-        assert 0 in mem._unsealed
-        page = mem.page(0)
-        assert type(page) is bytes
-        assert 0 not in mem._unsealed
-        assert page[10:13] == b"abc"
-
-    def test_repeated_writes_mutate_in_place(self):
-        mem = GuestMemory(4 * PAGE_SIZE)
-        mem.write(0, b"a")
-        buf = mem._pages[0]
-        mem.write(1, b"b")
-        assert mem._pages[0] is buf  # no per-write page rebuild
-        assert mem.read(0, 2) == b"ab"
+    """Every page is an immutable ``bytes`` object, so snapshots can
+    alias pages by reference."""
 
     def test_whole_page_write_adopts_bytes_by_reference(self):
         mem = GuestMemory(4 * PAGE_SIZE)
         payload = bytes(range(256)) * 16
         mem.write(PAGE_SIZE, payload)
-        assert mem._pages[1] is payload  # sealed for free
-        assert not mem._unsealed
-
-    def test_seal_all_is_idempotent_and_content_preserving(self):
-        mem = GuestMemory(4 * PAGE_SIZE)
-        mem.write(5, b"x")
-        mem.write(PAGE_SIZE + 7, b"y")
-        mem.seal_all()
-        assert not mem._unsealed
-        mem.seal_all()
-        assert mem.read(5, 1) == b"x"
-        assert mem.read(PAGE_SIZE + 7, 1) == b"y"
+        assert mem._pages[1] is payload
 
     def test_pages_snapshot_never_leaks_mutable_pages(self):
         mem = GuestMemory(4 * PAGE_SIZE)
@@ -98,29 +69,21 @@ class TestSealingTiers:
         mem.write(3, b"z")  # must not mutate the snapshot's view
         assert snap[0][3:4] == b"q"
 
-    def test_sealing_does_not_touch_dirty_log(self):
-        mem = GuestMemory(4 * PAGE_SIZE)
-        mem.write(0, b"a")
-        mem.take_dirty()
-        mem.seal_all()
-        mem.page(0)
-        assert mem.dirty_count == 0
-
 
 class TestReadFastPath:
     """Single-page reads take a direct-slice fast path; straddling
     reads assemble chunks — both must agree byte-for-byte."""
 
-    def test_single_page_read_returns_bytes_from_sealed_page(self):
+    def test_single_page_read_after_whole_page_write(self):
         mem = GuestMemory(4 * PAGE_SIZE)
-        mem.write(0, bytes(PAGE_SIZE))  # whole-page: lands sealed
+        mem.write(0, bytes(PAGE_SIZE))
         out = mem.read(100, 50)
         assert type(out) is bytes
         assert out == bytes(50)
 
-    def test_single_page_read_returns_bytes_from_unsealed_page(self):
+    def test_single_page_read_after_subpage_write(self):
         mem = GuestMemory(4 * PAGE_SIZE)
-        mem.write(100, b"hot")  # sub-page: page is a private bytearray
+        mem.write(100, b"hot")
         out = mem.read(100, 3)
         assert type(out) is bytes
         assert out == b"hot"
@@ -133,10 +96,10 @@ class TestReadFastPath:
         mem.write(PAGE_SIZE, right)
         assert mem.read(PAGE_SIZE - 64, 128) == left + right
 
-    def test_read_straddling_sealed_and_unsealed_pages(self):
+    def test_read_straddling_whole_and_subpage_writes(self):
         mem = GuestMemory(4 * PAGE_SIZE)
-        mem.write(PAGE_SIZE, bytes([1]) * PAGE_SIZE)  # page 1 sealed
-        mem.write(2 * PAGE_SIZE + 5, b"\x02")         # page 2 unsealed
+        mem.write(PAGE_SIZE, bytes([1]) * PAGE_SIZE)  # page 1: whole-page
+        mem.write(2 * PAGE_SIZE + 5, b"\x02")         # page 2: sub-page
         out = mem.read(2 * PAGE_SIZE - 8, 16)
         assert type(out) is bytes
         assert out == bytes([1]) * 8 + bytes(5) + b"\x02" + bytes(2)
@@ -161,8 +124,8 @@ class TestReadFastPath:
         # stays inside guest memory.
         mem = GuestMemory(5 * PAGE_SIZE)
         pattern = bytes((i * 31 + 7) & 0xFF for i in range(PAGE_SIZE))
-        mem.write(0, pattern)            # page 0 sealed (whole-page)
-        mem.write(PAGE_SIZE + 3, b"mid")  # page 1 unsealed
+        mem.write(0, pattern)            # page 0: whole-page
+        mem.write(PAGE_SIZE + 3, b"mid")  # page 1: sub-page
         mem.write(2 * PAGE_SIZE, pattern)
         chunk = mem.read(addr, length)
         assert chunk == b"".join(mem.read(addr + i, 1)
@@ -263,15 +226,3 @@ class TestRegionAllocator:
         alloc.set_state(saved)
         assert alloc.state() == saved
 
-
-def test_pages_for():
-    assert pages_for(1) == 1
-    assert pages_for(PAGE_SIZE) == 1
-    assert pages_for(PAGE_SIZE + 1) == 2
-
-
-def test_iter_page_chunks_pads_last():
-    chunks = list(iter_page_chunks(b"x" * (PAGE_SIZE + 5)))
-    assert len(chunks) == 2
-    assert all(len(c) == PAGE_SIZE for c in chunks)
-    assert chunks[1][:5] == b"xxxxx"
