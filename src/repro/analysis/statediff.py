@@ -173,6 +173,7 @@ def _child_report(resume_dir: str, epoch: Optional[int], until_execs: int,
     Opens only the checkpoint store and manifest — never the journal,
     whose open path truncates torn tails and belongs to the parent.
     """
+    from repro.fuzz.campaign import build_campaign_from_manifest
     from repro.fuzz.journal import CheckpointStore, read_manifest
     from repro.fuzz.stats import stats_checksum
     from repro.targets import PROFILES
@@ -187,44 +188,36 @@ def _child_report(resume_dir: str, epoch: Optional[int], until_execs: int,
             raise SystemExit("no checkpoint epochs under %s" % resume_dir)
         epoch = epochs[-1]
     state = store.load(epoch)
-    fixpoint: List[dict] = []
 
-    if manifest.get("kind") == "parallel":
-        from repro.fuzz.campaign import build_parallel_campaign_from_manifest
-        campaign = build_parallel_campaign_from_manifest(profile, manifest)
-        baseline, _trunc = state_digest(state["campaign"])
-        campaign.restore_state(state["campaign"])
-        relanded, _trunc = state_digest(campaign.snapshot_state())
-        for path, before, after in _digest_delta(baseline, relanded):
-            fixpoint.append({"path": path, "before": before,
-                             "after": after})
-        campaign.run(controller=_StopAtExecs(campaign, until_execs))
-        if inject:
-            _inject_regression(campaign, inject)
-        final = campaign.snapshot_state()
-        checksum = stats_checksum(campaign.aggregate().merged)
-        execs = campaign.total_execs()
+    built = build_campaign_from_manifest(profile, manifest)
+    fleet = manifest.get("kind") == "parallel"
+    if fleet:
+        campaign, key = built, "campaign"
+        fuzzers = [w.fuzzer for w in built.workers]
     else:
-        from repro.fuzz.campaign import build_campaign_from_manifest
-        handles = build_campaign_from_manifest(profile, manifest)
-        fuzzer = handles.fuzzer
+        campaign, key = built.fuzzer, "fuzzer"
+        fuzzers = [built.fuzzer]
+    for fuzzer in fuzzers:
         if fuzzer.config.sanitize_every:
-            # Mirror resume_campaign: re-arm before the clock restore.
+            # Mirror DurableCampaign._restore: re-arm every sanitizer
+            # before the clock restore.
             fuzzer._arm_sanitizer()
-        baseline, _trunc = state_digest(state["fuzzer"])
-        fuzzer.restore_state(state["fuzzer"])
-        relanded, _trunc = state_digest(fuzzer.snapshot_state())
-        for path, before, after in _digest_delta(baseline, relanded):
-            fixpoint.append({"path": path, "before": before,
-                             "after": after})
-        while fuzzer.stats.execs < until_execs:
-            if not fuzzer.step():
-                break
-        if inject:
-            _inject_regression(fuzzer, inject)
-        final = fuzzer.snapshot_state()
-        checksum = stats_checksum(fuzzer.stats)
-        execs = fuzzer.stats.execs
+    baseline, _trunc = state_digest(state[key])
+    campaign.restore_state(state[key])
+    relanded, _trunc = state_digest(campaign.snapshot_state())
+    fixpoint = [{"path": path, "before": before, "after": after}
+                for path, before, after in _digest_delta(baseline, relanded)]
+    if fleet:
+        campaign.run(controller=_StopAtExecs(campaign, until_execs))
+    else:
+        while campaign.stats.execs < until_execs and campaign.step():
+            pass
+    if inject:
+        _inject_regression(campaign, inject)
+    final = campaign.snapshot_state()
+    stats = campaign.aggregate().merged if fleet else campaign.stats
+    checksum = stats_checksum(stats)
+    execs = stats.execs
 
     digest, truncated = state_digest(final)
     return {

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 from repro.coverage.tracer import TracerCore
+from repro.fuzz.campaign import boot_target as boot_vm
 from repro.fuzz.stats import CampaignStats
 from repro.guestos.kernel import Kernel
 from repro.targets.base import TargetProfile
@@ -57,30 +58,17 @@ class BaselineHarness:
 
 def boot_target(profile: TargetProfile, asan: bool = True,
                 heap_slack: Optional[int] = None,
-                memory_bytes: int = 64 * 1024 * 1024,
                 with_interceptor: bool = False) -> BaselineHarness:
-    """Boot the target for baseline fuzzing.
+    """Boot the target for baseline fuzzing and attach a tracer.
 
     By default no interceptor is installed and traffic takes the real
     network path; ``with_interceptor`` installs the emulation shim
     *before* the server binds (required so the bind hook can classify
     the surface socket — used by the desock baseline).
     """
-    machine = Machine(memory_bytes=memory_bytes)
-    kernel = Kernel(machine)
-    interceptor = None
-    if with_interceptor:
-        from repro.emu.interceptor import Interceptor
-        interceptor = Interceptor(kernel, profile.surface())
-    program = profile.make_program()
-    if hasattr(program, "asan"):
-        program.asan = asan
-    if heap_slack is not None and hasattr(program, "heap_slack"):
-        program.heap_slack = heap_slack
-    kernel.spawn(program)
-    kernel.run(max_rounds=256)
-    kernel.flush_to_memory(full=True)
-    machine.capture_root()
+    machine, kernel, interceptor = boot_vm(profile, asan=asan,
+                                           heap_slack=heap_slack,
+                                           intercept=with_interceptor)
     tracer = TracerCore()
     kernel.coverage = tracer
     return BaselineHarness(machine, kernel, tracer, profile, interceptor)

@@ -45,8 +45,6 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
     from repro.fuzz.campaign import build_campaign
     from repro.fuzz.persist import save_campaign
     from repro.targets import PROFILES
-    if getattr(args, "placement", None) == "bandit":
-        args.policy = "bandit"
     if args.max_chain_depth < 1:
         print("--max-chain-depth must be >= 1", file=sys.stderr)
         return 2
@@ -69,18 +67,17 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
         return 2
     if args.checkpoint_every is not None:
         return _fuzz_durable(args, profile)
+    # The campaign options of a single run and of every fleet worker.
+    options = dict(policy=args.policy, seed=args.seed, time_budget=args.time,
+                   asan=not args.no_asan, fault_rate=args.fault_rate,
+                   fault_plan=args.fault_plan, exec_timeout=args.exec_timeout,
+                   sanitize_every=args.sanitize_resets,
+                   max_chain_depth=args.max_chain_depth)
     if args.workers > 1:
-        return _fuzz_parallel(args, profile)
+        return _fuzz_parallel(args, profile, options)
     from repro.faults import PlanError
     try:
-        handles = build_campaign(profile, policy=args.policy, seed=args.seed,
-                                 time_budget=args.time, max_execs=args.execs,
-                                 asan=not args.no_asan,
-                                 fault_rate=args.fault_rate,
-                                 fault_plan=args.fault_plan,
-                                 exec_timeout=args.exec_timeout,
-                                 sanitize_every=args.sanitize_resets,
-                                 max_chain_depth=args.max_chain_depth)
+        handles = build_campaign(profile, max_execs=args.execs, **options)
     except PlanError as err:
         print("invalid fault plan: %s" % err, file=sys.stderr)
         return 2
@@ -102,20 +99,18 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
     if args.out:
         written = save_campaign(handles.fuzzer, args.out)
         print("saved %d files to %s" % (written, args.out))
-    return _print_sanitizer(stats, handles.fuzzer)
+    return _print_sanitizer(stats, [handles.fuzzer])
 
 
-def _fuzz_parallel(args: argparse.Namespace, profile) -> int:
+def _fuzz_parallel(args: argparse.Namespace, profile, options: dict) -> int:
     """``fuzz --workers N``: one golden boot, N instances, shared root."""
     from repro.faults import PlanError
     from repro.fuzz.campaign import build_parallel_campaign
     from repro.fuzz.persist import save_parallel_campaign
     try:
         campaign = build_parallel_campaign(
-            profile, workers=args.workers, policy=args.policy, seed=args.seed,
-            time_budget=args.time, max_total_execs=args.execs,
-            sync_interval=args.sync_interval,
-            fault_rate=args.fault_rate, exec_timeout=args.exec_timeout)
+            profile, workers=args.workers, max_total_execs=args.execs,
+            sync_interval=args.sync_interval, **options)
     except PlanError as err:
         print("invalid fault plan: %s" % err, file=sys.stderr)
         return 2
@@ -126,23 +121,11 @@ def _fuzz_parallel(args: argparse.Namespace, profile) -> int:
     _print_fleet(aggregate, campaign, footprint=True)
     if args.distill:
         print("(--distill is ignored with --workers > 1)")
-    _print_fleet_ignored(args)
     if args.out:
         written = save_parallel_campaign(campaign, args.out)
         print("saved %d files to %s" % (written, args.out))
-    return 0
-
-
-def _print_fleet_ignored(args: argparse.Namespace) -> None:
-    """Name the single-instance flags a fleet ignores."""
-    if args.sanitize_resets is not None:
-        print("(--sanitize-resets is ignored with --workers > 1)")
-    if args.max_chain_depth > 1:
-        print("(--max-chain-depth is ignored with --workers > 1; workers "
-              "run the classic single incremental snapshot)")
-    if args.fault_plan:
-        print("(--fault-plan is ignored with --workers > 1; each worker "
-              "derives its plan from --seed and --fault-rate)")
+    return _print_sanitizer(aggregate.merged,
+                            [w.fuzzer for w in campaign.workers])
 
 
 #: Manifest key -> (fuzz flag, parser default) for the flags a durable
@@ -198,8 +181,6 @@ def _fuzz_durable(args: argparse.Namespace, profile) -> int:
     if args.distill:
         print("(--distill is ignored with --checkpoint-every)")
     kind = "parallel" if args.workers > 1 else "single"
-    if kind == "parallel":
-        _print_fleet_ignored(args)
     manifest = campaign_manifest(
         kind, checkpoint_every=args.checkpoint_every, asan=not args.no_asan,
         **{key: getattr(args, attr)
@@ -277,11 +258,12 @@ def _run_durable(durable) -> int:
     if durable.kind == "parallel":
         _print_fleet(result, durable.campaign)
         totals = result.merged
+        fuzzers = [w.fuzzer for w in durable.campaign.workers]
     else:
         _print_single(result, durable.fuzzer)
-        if _print_sanitizer(result, durable.fuzzer):
-            return 1
-        totals = result
+        totals, fuzzers = result, [durable.fuzzer]
+    if _print_sanitizer(totals, fuzzers):
+        return 1
     print("durability: %d checkpoints written, %d stale epochs pruned, "
           "%d verifications, %d divergences"
           % (totals.checkpoints_written, totals.checkpoint_epochs_pruned,
@@ -306,14 +288,16 @@ def _print_single(stats, fuzzer) -> None:
                                              record.count))
 
 
-def _print_sanitizer(stats, fuzzer) -> int:
-    """The reset-sanitizer line and its leaks; 1 when any leaked."""
+def _print_sanitizer(stats, fuzzers) -> int:
+    """The reset-sanitizer line and every fuzzer's leaks; 1 when any
+    leaked."""
     if not stats.sanitizer_checks:
         return 0
     print("reset sanitizer: %d checks, %d leaks"
           % (stats.sanitizer_checks, stats.sanitizer_leaks))
-    for diag in fuzzer.sanitizer_findings:
-        print("  %s" % diag.format())
+    for fuzzer in fuzzers:
+        for diag in fuzzer.sanitizer_findings:
+            print("  %s" % diag.format())
     return 1 if stats.sanitizer_leaks else 0
 
 
@@ -633,10 +617,6 @@ def build_parser() -> argparse.ArgumentParser:
                            "single incremental snapshot; K>1 lets the "
                            "policy stack up to K overlay snapshots along "
                            "each input (docs/snapshots.md)")
-    fuzz.add_argument("--placement", choices=["bandit"], default=None,
-                      help="chain placement strategy; 'bandit' is shorthand "
-                           "for --policy bandit (pair with "
-                           "--max-chain-depth > 1)")
     fuzz.add_argument("--seed", type=int, default=0)
     fuzz.add_argument("--time", type=float, default=600.0,
                       help="simulated seconds")
@@ -648,7 +628,8 @@ def build_parser() -> argparse.ArgumentParser:
     fuzz.add_argument("--out", help="directory to persist corpus+crashes")
     fuzz.add_argument("--workers", type=int, default=1,
                       help="parallel instances over one shared root "
-                           "snapshot (default: 1)")
+                           "snapshot, each built with every campaign flag "
+                           "(default: 1)")
     fuzz.add_argument("--sync-interval", type=float, default=5.0,
                       help="sim seconds between corpus sync rounds "
                            "(with --workers > 1)")

@@ -26,15 +26,14 @@ from repro.fuzz.crash import CrashDatabase
 from repro.fuzz.trim import trim_input, distill_corpus
 from repro.fuzz.persist import (save_campaign, save_parallel_campaign,
                                 load_corpus)
-from repro.fuzz.parallel import (ParallelCampaign, ParallelConfig,
-                                 WorkerHandle)
+from repro.fuzz.parallel import ParallelCampaign, WorkerHandle
 
 __all__ = [
     "FuzzInput", "MutationEngine", "Corpus", "QueueEntry",
     "SnapshotPolicy", "NonePolicy", "BalancedPolicy", "AggressivePolicy",
     "make_policy", "ExecResult", "NyxExecutor", "NyxNetFuzzer",
     "FuzzerConfig", "CampaignStats", "AggregateStats", "CrashDatabase",
-    "ParallelCampaign", "ParallelConfig", "WorkerHandle",
+    "ParallelCampaign", "WorkerHandle",
     "trim_input", "distill_corpus", "save_campaign",
     "save_parallel_campaign", "load_corpus",
 ]

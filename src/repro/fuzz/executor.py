@@ -125,22 +125,18 @@ class NyxExecutor:
     # ------------------------------------------------------------------
 
     def run_full(self, input_: FuzzInput,  # nyx: hot
-                 snapshot_after_packet: Optional[int] = None,
                  snapshot_after_packets: Optional[List[int]] = None
                  ) -> ExecResult:
         """Execute the whole input from the active snapshot (root).
 
-        ``snapshot_after_packet`` is a 0-based position into the
-        input's packet list; chain layer 1 (the paper's incremental
-        snapshot) is captured right after that packet is consumed, and
-        subsequent ``run_suffix`` calls replay only the remainder.
-        ``snapshot_after_packets`` generalizes it to an ascending list
-        of positions, one chain node each (a one-element list is the
-        scalar form).
+        ``snapshot_after_packets`` holds 0-based positions into the
+        input's packet list, one chain node each: chain layer 1 (the
+        paper's incremental snapshot) is captured right after the first
+        of those packets is consumed, a deeper layer after each further
+        one, and subsequent ``run_suffix`` calls replay only the
+        remainder.
         """
         self.discard_chain()
-        if not snapshot_after_packets and snapshot_after_packet is not None:
-            snapshot_after_packets = [snapshot_after_packet]
         snapshot_op_index = None
         later_ops: List[int] = []
         if snapshot_after_packets:

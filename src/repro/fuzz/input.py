@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
-from repro.spec.bytecode import Op, OpSequence, serialize, validate
+from repro.spec.bytecode import Op, OpSequence, validate
 from repro.spec.nodes import Spec
 
 
@@ -76,9 +76,6 @@ class FuzzInput:
 
     def validate_against(self, spec: Spec) -> None:
         validate(spec, self.ops)
-
-    def to_bytecode(self, spec: Spec) -> bytes:
-        return serialize(spec, self.ops)
 
     def __len__(self) -> int:
         return len(self.ops)

@@ -848,14 +848,10 @@ def durable_campaign(profile, manifest: dict, directory,
     one construction path of a fresh (``fuzz --checkpoint-every``) and a
     resumed durable campaign.  The manifest is written only when the
     directory has none yet."""
-    from repro.fuzz.campaign import (build_campaign_from_manifest,
-                                     build_parallel_campaign_from_manifest)
-    if manifest.get("kind") == "parallel":
-        wrap, build = (DurableParallelCampaign,
-                       build_parallel_campaign_from_manifest)
-    else:
-        wrap, build = DurableCampaign, build_campaign_from_manifest
-    return wrap(build(profile, manifest), directory,
+    from repro.fuzz.campaign import build_campaign_from_manifest
+    wrap = (DurableParallelCampaign if manifest.get("kind") == "parallel"
+            else DurableCampaign)
+    return wrap(build_campaign_from_manifest(profile, manifest), directory,
                 checkpoint_every=int(manifest.get("checkpoint_every", 500)),
                 manifest=manifest, journal_sync=journal_sync,
                 verify_every=manifest.get("verify_checkpoints"))

@@ -9,7 +9,9 @@ orchestration layer:
   :meth:`~repro.vm.machine.Machine.adopt_root`\\ s the golden root
   image as CoW page references instead of re-booting, and copies the
   golden interceptor's boot-time surface tables (guest socket ids are
-  part of the adopted memory image, so they match verbatim).
+  part of the adopted memory image, so they match verbatim).  Each
+  worker is then wired by the single campaign's own
+  :func:`~repro.fuzz.campaign.build_campaign`.
 
 * **Deterministic interleaving.**  Workers run round-robin time slices
   on the sim clock: the scheduler always steps the worker whose clock
@@ -29,17 +31,13 @@ orchestration layer:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.coverage.bitmap import CoverageMap
-from repro.coverage.tracer import TracerCore
-from repro.emu.interceptor import Interceptor
-from repro.faults import FaultInjector, FaultPlan
-from repro.fuzz.executor import NyxExecutor
-from repro.fuzz.fuzzer import FuzzerConfig, NyxNetFuzzer
+from repro.faults import FaultPlan
+from repro.fuzz.campaign import CampaignHandles, boot_target, build_campaign
 from repro.fuzz.stats import AggregateStats, CampaignStats
-from repro.guestos.kernel import Kernel
 from repro.sim.rng import DeterministicRandom
 from repro.targets.base import TargetProfile
 from repro.vm.machine import Machine, unique_page_footprint
@@ -48,61 +46,29 @@ from repro.vm.machine import Machine, unique_page_footprint
 #: multiplier (golden-ratio hash constant) so workers explore
 #: different trajectories without any shared-stream coupling.
 _WORKER_SEED_STRIDE = 0x9E3779B1
+#: The campaign options that shape the boot, and so the golden image
+#: every worker adopts.
+_BOOT_OPTIONS = ("asan", "memory_bytes", "heap_slack")
+#: Max scheduling iterations per time slice (each slice's length is
+#: drawn uniformly from [1, SLICE_MAX_STEPS]).
+SLICE_MAX_STEPS = 3
+#: Consecutive step() failures a worker survives before it is retired
+#: and the campaign continues at reduced worker count.
+MAX_WORKER_RETRIES = 3
+#: Sim seconds charged to a failed worker before its next slice
+#: (doubles per consecutive failure — exponential backoff).
+FAILURE_BACKOFF = 0.5
+#: Step failures attributable to the same corpus entry before that
+#: entry is quarantined fleet-wide.
+QUARANTINE_THRESHOLD = 2
 
 
 @dataclass
-class ParallelConfig:
-    """Tunables for a parallel campaign."""
+class WorkerHandle(CampaignHandles):
+    """One fuzzing instance inside a parallel campaign: its campaign
+    handles plus the fleet's supervision state."""
 
-    workers: int = 2
-    policy: str = "balanced"
-    seed: int = 0
-    #: Per-worker sim-time budget (workers run concurrently, so this
-    #: is also the campaign's wall sim time).
-    time_budget: float = 60.0
-    #: Campaign-wide cap on total executions across all workers.
-    max_total_execs: Optional[int] = None
-    iterations_per_snapshot: int = 50
-    #: Sim seconds between corpus sync rounds.
-    sync_interval: float = 5.0
-    #: Max scheduling iterations per time slice (actual length is
-    #: drawn uniformly from [1, slice_max_steps] per slice).
-    slice_max_steps: int = 3
-    memory_bytes: int = 64 * 1024 * 1024
-    asan: bool = True
-    #: Fault-injection rate (0 disables).  Each worker derives its own
-    #: :class:`FaultPlan` from the campaign seed, so the whole fleet's
-    #: faults replay bit-identically for the same seed.
-    fault_rate: float = 0.0
-    #: Per-exec watchdog budget in simulated seconds (None disables).
-    exec_timeout: Optional[float] = None
-    #: Consecutive step() failures a worker survives before it is
-    #: retired and the campaign continues at reduced worker count.
-    max_worker_retries: int = 3
-    #: Sim seconds charged to a failed worker before its next slice
-    #: (doubles per consecutive failure — exponential backoff).
-    failure_backoff: float = 0.5
-    #: Step failures attributable to the same corpus entry before that
-    #: entry is quarantined fleet-wide.
-    quarantine_threshold: int = 2
-    #: Pages of simulated OS/page-cache image written into the golden
-    #: VM before the root capture.  The lean simulated guest boots into
-    #: only a handful of pages; a real VM image is megabytes, and the
-    #: §6 footprint claim compares worker churn against *that*.  0 =
-    #: measure the bare boot image.
-    image_pages: int = 0
-
-
-@dataclass
-class WorkerHandle:
-    """One fuzzing instance inside a parallel campaign."""
-
-    worker_id: int
-    machine: Machine
-    kernel: Kernel
-    interceptor: Interceptor
-    executor: NyxExecutor
-    fuzzer: NyxNetFuzzer
+    worker_id: int = 0
     #: Corpus-id watermark: entries below this id were already
     #: considered by a previous sync round.
     synced_id: int = 0
@@ -114,15 +80,37 @@ class WorkerHandle:
 
 
 class ParallelCampaign:
-    """N fuzzer instances sharing one root snapshot and a corpus."""
+    """N fuzzer instances sharing one root snapshot and a corpus.
 
-    def __init__(self, profile: TargetProfile, config: ParallelConfig,
-                 seeds=None) -> None:
-        if config.workers < 1:
+    The fleet's own values are the worker count, the campaign-wide
+    ``max_total_execs`` cap, the ``sync_interval`` between corpus sync
+    rounds (sim seconds), ``image_pages`` and the seeds.  Every other
+    keyword is :func:`~repro.fuzz.campaign.build_campaign`'s and builds
+    each worker unchanged, except for what a fleet decides per worker:
+    its derived seed, the adopted root and no per-worker exec cap.  An
+    explicit ``fault_plan`` becomes each worker's
+    :meth:`~repro.faults.FaultPlan.for_worker` plan; a ``fault_rate``
+    already derives that same plan from the worker's seed.
+
+    ``image_pages`` writes that many pages of simulated OS/page-cache
+    image into the golden VM before the root capture.  The lean
+    simulated guest boots into only a handful of pages; a real VM image
+    is megabytes, and the §6 footprint claim compares worker churn
+    against *that*.  0 measures the bare boot image.
+    """
+
+    def __init__(self, profile: TargetProfile, workers: int = 2,
+                 seed: int = 0, max_total_execs: Optional[int] = None,
+                 sync_interval: float = 5.0, image_pages: int = 0,
+                 seeds=None, **options) -> None:
+        if workers < 1:
             raise ValueError("a campaign needs at least one worker")
         self.profile = profile
-        self.config = config
-        self.rng = DeterministicRandom(config.seed)
+        self.seed = seed
+        self.max_total_execs = max_total_execs
+        self.sync_interval = sync_interval
+        self.options = options
+        self.rng = DeterministicRandom(seed)
         #: Campaign-level merged bitmap: the arbiter of what is
         #: *globally* new during corpus sync.
         self.global_coverage = CoverageMap()
@@ -135,21 +123,19 @@ class ParallelCampaign:
         self.spec = default_network_spec()
 
         # One golden boot; workers adopt its root snapshot.
-        from repro.fuzz.campaign import boot_target
-        golden_machine, golden_kernel, golden_interceptor = boot_target(
-            profile, asan=config.asan, memory_bytes=config.memory_bytes)
-        if config.image_pages:
-            self._bake_image(golden_machine, config.image_pages)
-        self.golden = (golden_machine, golden_kernel, golden_interceptor)
-        self.root = golden_machine.snapshots.root
+        self.golden = boot_target(profile, **{
+            key: options[key] for key in _BOOT_OPTIONS if key in options})
+        if image_pages:
+            self._bake_image(self.golden[0], image_pages)
+        self.root = self.golden[0].snapshots.root
 
         self.workers: List[WorkerHandle] = [
-            self._spawn_worker(i) for i in range(config.workers)]
+            self._spawn_worker(i) for i in range(workers)]
         self._finished = False
         self._started = False
         #: Sim time of the next corpus sync round (advances by
         #: ``sync_interval``; part of the resumable state).
-        self._next_sync = config.sync_interval
+        self._next_sync = sync_interval
         #: Step failures attributed to a corpus entry, keyed by its
         #: coverage checksum (the cross-worker identity).
         self._entry_failures: Dict[int, int] = {}
@@ -172,42 +158,18 @@ class ParallelCampaign:
         machine.capture_root()
 
     def _spawn_worker(self, worker_id: int) -> WorkerHandle:
-        """Bring up one instance from the shared root, without booting.
-
-        The kernel must exist before ``adopt_root``: adoption fires the
-        restore callbacks, which rebuild the kernel's host-side object
-        graph from the adopted memory image.  The kernel's directory
-        region is the first allocation on a fresh machine, so its
-        location matches the golden image by construction.
-        """
-        config = self.config
-        machine = Machine(memory_bytes=config.memory_bytes)
-        kernel = Kernel(machine)
-        interceptor = Interceptor(kernel, self.profile.surface())
-        machine.adopt_root(self.root)
-        interceptor.adopt_surface_state(self.golden[2])
-
-        executor = NyxExecutor(machine, kernel, interceptor, TracerCore(),
-                               exec_timeout=config.exec_timeout)
-        if config.fault_rate != 0.0:  # negatives rejected by FaultPlan
-            plan = FaultPlan.for_campaign(
-                config.seed, config.fault_rate).for_worker(worker_id)
-            injector = FaultInjector(plan)
-            interceptor.injector = injector
-            machine.snapshots.injector = injector
-        worker_seed = (config.seed
-                       + (worker_id + 1) * _WORKER_SEED_STRIDE) % (1 << 31)
-        fuzzer_config = FuzzerConfig(
-            policy=config.policy, seed=worker_seed,
-            time_budget=config.time_budget,
-            iterations_per_snapshot=config.iterations_per_snapshot)
-        fuzzer = NyxNetFuzzer(executor, [s.copy() for s in self._seeds],
-                              fuzzer_config)
-        fuzzer.stats.target_name = self.profile.name
-        fuzzer.stats.fuzzer_name = "nyx-net-%s.w%02d" % (config.policy,
-                                                         worker_id)
-        return WorkerHandle(worker_id, machine, kernel, interceptor,
-                            executor, fuzzer)
+        """Build one instance on the shared root, without booting."""
+        options = dict(self.options, golden=self.golden, seeds=self._seeds,
+                       max_execs=None,
+                       seed=(self.seed + (worker_id + 1)
+                             * _WORKER_SEED_STRIDE) % (1 << 31))
+        if options.get("fault_plan") is not None:
+            options["fault_plan"] = FaultPlan.from_id(
+                options["fault_plan"]).for_worker(worker_id).plan_id
+        handles = build_campaign(self.profile, **options)
+        handles.fuzzer.stats.fuzzer_name = "nyx-net-%s.w%02d" % (
+            handles.fuzzer.config.policy, worker_id)
+        return WorkerHandle(worker_id=worker_id, **vars(handles))
 
     # ------------------------------------------------------------------
     # the campaign loop
@@ -252,13 +214,13 @@ class ParallelCampaign:
             now = min(w.fuzzer.clock.now for w in live)
             if now >= self._next_sync:
                 self._sync_corpora()
-                self._next_sync += self.config.sync_interval
+                self._next_sync += self.sync_interval
             # Step the worker furthest behind on the sim clock: a
             # discrete-event round-robin that keeps instances tightly
             # interleaved without any host-side concurrency.
             worker = min(live, key=lambda w: (w.fuzzer.clock.now,
                                               w.worker_id))
-            slice_steps = 1 + self.rng.randrange(self.config.slice_max_steps)
+            slice_steps = 1 + self.rng.randrange(SLICE_MAX_STEPS)
             for _ in range(slice_steps):
                 if self._total_execs_capped():
                     break
@@ -292,7 +254,8 @@ class ParallelCampaign:
 
     #: Version stamp of the checkpointed fleet state.
     #: 2: the _finished latch joined the capture set (NYX060 fix).
-    STATE_FORMAT = 2
+    #: 3: workers are built like single campaigns (dictionary et al.).
+    STATE_FORMAT = 3
 
     def snapshot_state(self) -> dict:
         """Full resumable fleet state, valid at a slice boundary.
@@ -352,7 +315,6 @@ class ParallelCampaign:
         """Contain one worker exception: count it, suspect the entry
         being fuzzed, reset the VM to the root, charge backoff, and
         retire the worker once its retry budget is spent."""
-        config = self.config
         worker.fuzzer.stats.worker_failures += 1
         worker.consecutive_failures += 1
         self._suspect_entry(worker)
@@ -360,8 +322,8 @@ class ParallelCampaign:
         # worker's own sim clock so the round-robin naturally deprives
         # a flapping worker of slices.
         worker.fuzzer.clock.charge(
-            config.failure_backoff * (2 ** (worker.consecutive_failures - 1)))
-        if worker.consecutive_failures > config.max_worker_retries:
+            FAILURE_BACKOFF * (2 ** (worker.consecutive_failures - 1)))
+        if worker.consecutive_failures > MAX_WORKER_RETRIES:
             worker.done = True
             worker.retired = True
             return
@@ -384,7 +346,7 @@ class ParallelCampaign:
             return
         key = entry.checksum
         self._entry_failures[key] = self._entry_failures.get(key, 0) + 1
-        if self._entry_failures[key] < self.config.quarantine_threshold:
+        if self._entry_failures[key] < QUARANTINE_THRESHOLD:
             return
         removed = 0
         for peer in self.workers:
@@ -400,7 +362,7 @@ class ParallelCampaign:
         return [w.worker_id for w in self.workers if w.retired]
 
     def _total_execs_capped(self) -> bool:
-        cap = self.config.max_total_execs
+        cap = self.max_total_execs
         return cap is not None and self.total_execs() >= cap
 
     def total_execs(self) -> int:
@@ -444,10 +406,10 @@ class ParallelCampaign:
     def aggregate(self) -> AggregateStats:
         """Roll per-worker stats up into the campaign-level view."""
         parts = [w.fuzzer.stats for w in self.workers]
+        policy = self.workers[0].fuzzer.config.policy
         merged = CampaignStats.merge(
             parts,
-            fuzzer_name="nyx-net-%s-x%d" % (self.config.policy,
-                                            len(self.workers)),
+            fuzzer_name="nyx-net-%s-x%d" % (policy, len(self.workers)),
             target_name=self.profile.name,
             coverage_series=self.coverage_series)
         return AggregateStats(merged=merged, workers=parts)

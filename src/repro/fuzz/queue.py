@@ -248,9 +248,6 @@ class Corpus:
                     removed += 1
         return removed
 
-    def random_entry(self) -> QueueEntry:
-        return self.rng.pick(self.entries)
-
     def splice_donor(self, exclude: QueueEntry) -> Optional[FuzzInput]:
         """A random other entry's input, for splicing."""
         candidates = [e for e in self.entries if e.entry_id != exclude.entry_id]

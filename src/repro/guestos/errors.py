@@ -74,6 +74,12 @@ class NoFuzzPacket(EmptyPoll):
     message = "no fuzz packet pending"
 
 
+class NoSocketData(EmptyPoll):
+    """``recv`` on an unhooked socket with an empty receive buffer."""
+
+    message = "no data on socket"
+
+
 class CrashKind(enum.Enum):
     """Classes of crash the guest can report, mirroring real signals
     and sanitizer verdicts."""

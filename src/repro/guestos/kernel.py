@@ -120,10 +120,6 @@ class Kernel:
         self.coverage: Optional[Any] = None
         #: Host-side outboxes for data sent to external peers.
         self._outbox: Dict[int, List[bytes]] = {}
-        #: Ports where the *fuzzer* acts as a server (client fuzzing).
-        #: Boot-time harness configuration, registered before the root
-        #: snapshot and constant for the campaign.
-        self.external_servers: Dict[Address, bool] = {}  # nyx: allow[reset]
         #: Whether externally delivered stream data coalesces (real TCP).
         self.coalesce_external: bool = True
         # Monotonic progress counter consumed via deltas (idle
@@ -544,11 +540,6 @@ class Kernel:
         self.touch("sock:%d" % sid)
         self._activity += 1
 
-    def register_external_server(self, addr: Address) -> None:
-        """Declare that the fuzzer will accept guest connect()s to addr
-        (client-fuzzing mode, §5.4)."""
-        self.external_servers[addr] = True
-
     def outbox_for(self, sid: int) -> List[bytes]:
         return self._outbox.setdefault(sid, [])
 
@@ -729,10 +720,6 @@ class KernelApi:  # nyx: hot
             sock.state = SockState.CONNECTED
             listener.accept_queue.append(peer.sid)
             self.k.touch("sock:%d" % listener.sid)
-        elif addr in self.k.external_servers:
-            sock.peer = EXTERNAL_PEER
-            sock.state = SockState.CONNECTED
-            self.k.machine.clock.charge(self.k.machine.costs.net_connect)
         elif self.k.interceptor is not None and \
                 self.k.interceptor.claims_connect(addr):
             # The emulation layer plays the server (client fuzzing,

@@ -15,7 +15,7 @@ import enum
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple, Union
 
-from repro.guestos.errors import Errno, GuestError
+from repro.guestos.errors import NoSocketData
 
 #: Marker peer id for connections whose other end is outside the VM
 #: (the fuzzer acting as a remote client/server).
@@ -111,7 +111,7 @@ class Socket:  # nyx: state[memory]
         if not self.recv_buf:
             if self.peer_closed:
                 return b"", None  # orderly EOF
-            raise GuestError(Errno.EAGAIN, "no data on socket %d" % self.sid)
+            raise NoSocketData
         chunk = self.recv_buf[0]
         if self.type is SockType.DGRAM or len(chunk.data) <= max_bytes:
             self.recv_buf.pop(0)
@@ -119,6 +119,3 @@ class Socket:  # nyx: state[memory]
         head = chunk.data[:max_bytes]
         chunk.data = chunk.data[max_bytes:]
         return head, chunk.source
-
-    def pending_bytes(self) -> int:
-        return sum(len(c.data) for c in self.recv_buf)

@@ -245,10 +245,6 @@ class SnapshotManager:  # nyx: allow[reset]
     # -- root snapshot ------------------------------------------------------
 
     @property
-    def has_root(self) -> bool:
-        return self._root is not None
-
-    @property
     def chain_depth(self) -> int:
         """Number of live snapshot layers above the root (0 = none)."""
         return len(self._layers)
@@ -729,11 +725,6 @@ class SnapshotManager:  # nyx: allow[reset]
         self._clock.charge(seconds)
 
     # -- accounting -----------------------------------------------------------
-
-    def diverged_pages(self) -> int:
-        """Pages currently known to differ from the root snapshot."""
-        self._absorb_dirty()
-        return len(self._diverged)
 
     def owned_page_identities(self) -> set:
         """``id()`` of every page object this VM keeps alive.

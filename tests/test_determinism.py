@@ -65,7 +65,7 @@ class TestWithinMachineStability:
 
     def test_suffix_replays_never_drift(self):
         executor, machine = fresh_executor()
-        executor.run_full(SESSION, snapshot_after_packet=2)
+        executor.run_full(SESSION, snapshot_after_packets=[2])
         reference = None
         for i in range(50):
             result = executor.run_suffix(SESSION)

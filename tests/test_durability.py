@@ -19,8 +19,7 @@ import time
 import pytest
 
 from repro.cli import main
-from repro.fuzz.campaign import (build_campaign_from_manifest,
-                                 build_parallel_campaign_from_manifest)
+from repro.fuzz.campaign import build_campaign_from_manifest
 from repro.fuzz.journal import (CheckpointStore, DurabilityError,
                                 DurableCampaign, DurableParallelCampaign,
                                 GracefulShutdown, Journal, campaign_manifest,
@@ -83,8 +82,7 @@ def _fleet_outcome(campaign, aggregate):
 
 def _fleet_golden(manifest):
     """The uninterrupted reference fleet (no durability layer)."""
-    campaign = build_parallel_campaign_from_manifest(PROFILES["lighttpd"],
-                                                     manifest)
+    campaign = build_campaign_from_manifest(PROFILES["lighttpd"], manifest)
     return _fleet_outcome(campaign, campaign.run())
 
 
@@ -92,8 +90,7 @@ def _fresh_durable(manifest, directory):
     """A durable single campaign or fleet, as ``manifest`` records."""
     if manifest["kind"] == "parallel":
         return DurableParallelCampaign(
-            build_parallel_campaign_from_manifest(PROFILES["lighttpd"],
-                                                  manifest),
+            build_campaign_from_manifest(PROFILES["lighttpd"], manifest),
             directory, checkpoint_every=manifest["checkpoint_every"],
             manifest=manifest, journal_sync=False)
     return DurableCampaign(
@@ -470,8 +467,7 @@ class TestRobustnessStateResume:
             "parallel", "lighttpd", policy="balanced", seed=7,
             time_budget=5.0, max_execs=300, checkpoint_every=100, workers=2)
         durable = DurableParallelCampaign(
-            build_parallel_campaign_from_manifest(PROFILES["lighttpd"],
-                                                  manifest),
+            build_campaign_from_manifest(PROFILES["lighttpd"], manifest),
             tmp_path, checkpoint_every=100, manifest=manifest,
             journal_sync=False)
         campaign = durable.campaign
@@ -604,17 +600,25 @@ class TestDurableCli:
         # The recorded target also counts as a conflicting flag.
         assert main(["fuzz", "dnsmasq", "--resume", out]) == 2
 
-    def test_durable_fleet_names_ignored_flags(self, capsys, tmp_path):
-        # The plain fleet path names the single-instance flags it
-        # ignores; the durable fleet records them in the manifest and
-        # must say so too.
-        code = main(["fuzz", "lighttpd", "--workers", "2", "--execs", "120",
+    def test_durable_fleet_honours_chain_depth_and_sanitizer(self, capsys,
+                                                             tmp_path):
+        # A durable fleet builds every worker with the campaign flags it
+        # records, like a single campaign: the sanitizer reports, and
+        # the manifest rebuilds each worker at the recorded chain depth.
+        out = str(tmp_path / "c")
+        code = main(["fuzz", "lightftp", "--workers", "2", "--execs", "200",
                      "--time", "30", "--seed", "3", "--checkpoint-every",
-                     "60", "--max-chain-depth", "3",
-                     "--out", str(tmp_path / "c")])
+                     "100", "--policy", "bandit", "--max-chain-depth", "3",
+                     "--sanitize-resets", "50", "--out", out])
         assert code == 0
-        assert ("(--max-chain-depth is ignored with --workers > 1"
-                in capsys.readouterr().out)
+        printed = capsys.readouterr().out
+        assert "reset sanitizer: " in printed and " 0 leaks" in printed
+        durable = resume_campaign(out, journal_sync=False)
+        for worker in durable.campaign.workers:
+            assert worker.executor.max_chain_depth == 3
+            assert worker.fuzzer.config.sanitize_every == 50
+        assert durable.campaign.aggregate().merged.sanitizer_checks > 0
+        durable.close()
 
     def test_resume_adopts_manifest_defaults(self, capsys, tmp_path):
         # Flags left at their defaults adopt the manifest's values, so
@@ -662,8 +666,8 @@ class TestPersistSatellites:
         manifest = campaign_manifest(
             "parallel", "lighttpd", policy="balanced", seed=5,
             time_budget=5.0, max_execs=200, checkpoint_every=100, workers=2)
-        campaign = build_parallel_campaign_from_manifest(
-            PROFILES["lighttpd"], manifest)
+        campaign = build_campaign_from_manifest(PROFILES["lighttpd"],
+                                                manifest)
         campaign.run()
         save_parallel_campaign(campaign, str(tmp_path))
         names = sorted(p.name for p in (tmp_path / "queue").glob("*.nyx"))

@@ -27,8 +27,7 @@ from repro.analysis.durlint import (analyze_durability_source,
 from repro.analysis.statediff import (_child_report, fixpoint_check,
                                       state_digest, verify_checkpoint)
 from repro.cli import main as cli_main
-from repro.fuzz.campaign import (build_campaign_from_manifest,
-                                 build_parallel_campaign_from_manifest)
+from repro.fuzz.campaign import build_campaign_from_manifest
 from repro.fuzz.journal import (CheckpointStore, DurableCampaign,
                                 DurableParallelCampaign, FRAME_KINDS,
                                 Journal, campaign_manifest, scan_journal)
@@ -356,7 +355,7 @@ def _durable_run(kind, tmp_path, seed, checkpoint_every, max_execs,
         checkpoint_every=checkpoint_every, workers=2,
         verify_checkpoints=verify_every)
     durable = DurableParallelCampaign(
-        build_parallel_campaign_from_manifest(PROFILES["lighttpd"], manifest),
+        build_campaign_from_manifest(PROFILES["lighttpd"], manifest),
         tmp_path, checkpoint_every=checkpoint_every, manifest=manifest,
         journal_sync=False, verify_every=verify_every)
     return durable, durable.run().merged
@@ -404,8 +403,8 @@ def _stateful_objects(seed):
     parallel_manifest = campaign_manifest(
         "parallel", "lighttpd", policy="balanced", seed=seed,
         time_budget=60.0, max_execs=120, checkpoint_every=100, workers=2)
-    campaign = build_parallel_campaign_from_manifest(
-        PROFILES["lighttpd"], parallel_manifest)
+    campaign = build_campaign_from_manifest(PROFILES["lighttpd"],
+                                            parallel_manifest)
     campaign.run()
     objects = {}
     _walk_stateful(fuzzer, objects)
@@ -518,6 +517,23 @@ class TestStatediff:
         assert stats.checkpoint_divergences == 0
         assert durable.verify_findings == []
         assert "verify" in _frame_kinds(tmp_path)
+
+    def test_sanitized_fleet_verifies_divergence_free(self, tmp_path):
+        # The verifier child re-arms every worker's sanitizer before the
+        # restore, as resume does; a worker left unarmed re-arms on its
+        # next step and its state diverges from the parent's.
+        manifest = campaign_manifest(
+            "parallel", "lighttpd", policy="aggressive", seed=6,
+            time_budget=600.0, max_execs=600, checkpoint_every=200,
+            workers=2, sanitize_every=100, verify_checkpoints=200)
+        durable = DurableParallelCampaign(
+            build_campaign_from_manifest(PROFILES["lighttpd"], manifest),
+            tmp_path, checkpoint_every=200, manifest=manifest,
+            journal_sync=False, verify_every=200)
+        stats = durable.run().merged
+        assert stats.sanitizer_checks > 0
+        assert stats.checkpoint_verifications >= 1
+        assert durable.verify_findings == []
 
     def test_manifest_records_the_cadence(self):
         manifest = _manifest(0, verify_checkpoints=250)

@@ -110,7 +110,7 @@ class TestExecutor:
     def test_suffix_run_skips_prefix(self):
         machine, kernel, interceptor, executor = echo_campaign()
         inp = packets_input([b"p1", b"p2", b"p3", b"p4"])
-        executor.run_full(inp, snapshot_after_packet=1)
+        executor.run_full(inp, snapshot_after_packets=[1])
         child = inp.copy()
         child.with_payload(3, b"XX")
         result = executor.run_suffix(child)
@@ -123,7 +123,7 @@ class TestExecutor:
     def test_suffix_runs_are_repeatable(self):
         machine, kernel, interceptor, executor = echo_campaign()
         inp = packets_input([b"p1", b"p2", b"p3"])
-        executor.run_full(inp, snapshot_after_packet=0)
+        executor.run_full(inp, snapshot_after_packets=[0])
         for _ in range(5):
             result = executor.run_suffix(inp)
             assert result.packets_consumed == 2
@@ -132,7 +132,7 @@ class TestExecutor:
     def test_finish_cycle_returns_to_root(self):
         machine, kernel, interceptor, executor = echo_campaign()
         inp = packets_input([b"p1", b"p2"])
-        executor.run_full(inp, snapshot_after_packet=0)
+        executor.run_full(inp, snapshot_after_packets=[0])
         executor.finish_snapshot_cycle()
         assert machine.snapshots.chain_depth == 0
         result = executor.run_full(inp)

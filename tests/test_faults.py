@@ -17,6 +17,7 @@ from repro.emu.interceptor import Interceptor
 from repro.emu.surface import AttackSurface
 from repro.faults import FaultInjector, FaultKind, FaultPlan
 from repro.faults.plan import PlanError
+from repro.fuzz import parallel
 from repro.fuzz.campaign import build_campaign, build_parallel_campaign
 from repro.fuzz.crash import CrashDatabase
 from repro.fuzz.executor import NyxExecutor
@@ -285,7 +286,7 @@ class TestSelfHealingSnapshots:
         handles.interceptor.injector = injector
         handles.machine.snapshots.injector = injector
         seed_input = PROFILES["lightftp"].seeds()[1]  # 7 packets
-        handles.executor.run_full(seed_input, snapshot_after_packet=4)
+        handles.executor.run_full(seed_input, snapshot_after_packets=[4])
         resume = handles.executor.chain_resume_index(1)
         assert resume is not None
         # Corrupt the *next* incremental restore; the suffix run after
@@ -302,7 +303,7 @@ class TestSelfHealingSnapshots:
         handles = build_campaign(PROFILES["lightftp"], policy="none",
                                  seed=0, time_budget=1e9, max_execs=1000)
         seed_input = PROFILES["lightftp"].seeds()[1]
-        handles.executor.run_full(seed_input, snapshot_after_packet=4)
+        handles.executor.run_full(seed_input, snapshot_after_packets=[4])
         # Amputate the rebuild recipe and kill the snapshot: healing
         # cannot succeed, so the executor must degrade, not loop.
         handles.executor._chain_nodes[-1].base_input = None
@@ -317,21 +318,19 @@ class TestSelfHealingSnapshots:
 # ----------------------------------------------------------------------
 
 
-def tiny_parallel_campaign(backoff=0.0, **overrides):
-    kwargs = dict(workers=2, policy="none", seed=1, time_budget=3.0,
-                  max_total_execs=300)
-    kwargs.update(overrides)
-    campaign = build_parallel_campaign(PROFILES["lighttpd"], **kwargs)
+def tiny_parallel_campaign(monkeypatch, backoff=0.0):
     # Zero backoff keeps a failing worker schedulable within the tiny
     # exec budget (the real default would starve it of slices, which is
     # the intended production behaviour but not what these tests pin).
-    campaign.config.failure_backoff = backoff
-    return campaign
+    monkeypatch.setattr(parallel, "FAILURE_BACKOFF", backoff)
+    return build_parallel_campaign(PROFILES["lighttpd"], workers=2,
+                                   policy="none", seed=1, time_budget=3.0,
+                                   max_total_execs=300)
 
 
 class TestWorkerSupervision:
-    def test_flaky_worker_is_retried_and_survives(self):
-        campaign = tiny_parallel_campaign()
+    def test_flaky_worker_is_retried_and_survives(self, monkeypatch):
+        campaign = tiny_parallel_campaign(monkeypatch)
         victim = campaign.workers[0]
         real_step = victim.fuzzer.step
         blows = {"left": 2}
@@ -349,8 +348,9 @@ class TestWorkerSupervision:
         # Both workers still executed work.
         assert all(w.fuzzer.stats.execs > 0 for w in campaign.workers)
 
-    def test_hopeless_worker_is_retired_campaign_continues(self):
-        campaign = tiny_parallel_campaign()
+    def test_hopeless_worker_is_retired_campaign_continues(self,
+                                                          monkeypatch):
+        campaign = tiny_parallel_campaign(monkeypatch)
         victim = campaign.workers[0]
 
         def always_raises():
@@ -362,30 +362,30 @@ class TestWorkerSupervision:
         assert campaign.retired_workers() == [victim.worker_id]
         # Retries are bounded.
         assert (victim.fuzzer.stats.worker_failures
-                == campaign.config.max_worker_retries + 1)
+                == parallel.MAX_WORKER_RETRIES + 1)
         # The surviving worker carried the campaign.
         assert campaign.workers[1].fuzzer.stats.execs > 0
 
-    def test_backoff_charges_failing_worker_clock(self):
-        campaign = tiny_parallel_campaign(backoff=0.5)
+    def test_backoff_charges_failing_worker_clock(self, monkeypatch):
+        campaign = tiny_parallel_campaign(monkeypatch, backoff=0.5)
         victim = campaign.workers[0]
         before = victim.fuzzer.clock.now
         campaign._handle_worker_failure(victim)
         assert victim.fuzzer.clock.now > before
 
-    def test_recovery_drops_the_whole_chain(self):
-        campaign = tiny_parallel_campaign()
+    def test_recovery_drops_the_whole_chain(self, monkeypatch):
+        campaign = tiny_parallel_campaign(monkeypatch)
         victim = campaign.workers[0]
         seed_input = PROFILES["lighttpd"].seeds()[0]
-        victim.executor.run_full(seed_input, snapshot_after_packet=0)
+        victim.executor.run_full(seed_input, snapshot_after_packets=[0])
         assert victim.executor.chain_node_count == 1
         campaign._handle_worker_failure(victim)
         # Executor and snapshot manager agree: no chain node survives.
         assert victim.executor.chain_node_count == 0
         assert victim.machine.snapshots.chain_depth == 0
 
-    def test_killer_entry_is_quarantined_fleet_wide(self):
-        campaign = tiny_parallel_campaign()
+    def test_killer_entry_is_quarantined_fleet_wide(self, monkeypatch):
+        campaign = tiny_parallel_campaign(monkeypatch)
         for worker in campaign.workers:
             worker.fuzzer.begin_campaign()
         victim = campaign.workers[0]
@@ -393,7 +393,7 @@ class TestWorkerSupervision:
         assert entry.checksum is not None
         sizes_before = [len(w.fuzzer.corpus) for w in campaign.workers]
         victim.fuzzer.last_entry = entry
-        for _ in range(campaign.config.quarantine_threshold):
+        for _ in range(parallel.QUARANTINE_THRESHOLD):
             campaign._handle_worker_failure(victim)
         for worker, before in zip(campaign.workers, sizes_before):
             assert len(worker.fuzzer.corpus) < before

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.guestos.errors import Errno, GuestError
+from repro.guestos.errors import EmptyPoll, Errno, GuestError
 from repro.guestos.fds import FdEntry, FdKind, FdTable, MAX_FDS
 from repro.guestos.fs import FileSystem
 from repro.guestos.kernel import Kernel
@@ -66,6 +66,14 @@ class TestSocketChunks:
         assert data == b"abcd"
         with pytest.raises(GuestError):
             sock.take_chunk(4)  # datagram remainder discarded
+
+    def test_empty_read_is_an_eagain_empty_poll(self):
+        # Empty polls are raised by class, like the scheduler's other
+        # EAGAINs, so callers test ``errno`` and nothing formats.
+        sock = self.socket()
+        with pytest.raises(EmptyPoll) as info:
+            sock.take_chunk(4)
+        assert info.value.errno is Errno.EAGAIN
 
     def test_eof_after_peer_close(self):
         sock = self.socket()

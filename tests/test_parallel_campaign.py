@@ -11,9 +11,10 @@ import json
 import pytest
 
 from repro.cli import main
+from repro.faults import FaultPlan
 from repro.fuzz.campaign import build_parallel_campaign
 from repro.fuzz.input import packets_input
-from repro.fuzz.parallel import ParallelCampaign, ParallelConfig
+from repro.fuzz.parallel import ParallelCampaign
 from repro.fuzz.persist import load_corpus, save_parallel_campaign
 from repro.targets import PROFILES
 
@@ -30,8 +31,7 @@ def small_campaign():
 class TestFleetConstruction:
     def test_rejects_zero_workers(self):
         with pytest.raises(ValueError):
-            ParallelCampaign(PROFILES["lightftp"],
-                             ParallelConfig(workers=0))
+            ParallelCampaign(PROFILES["lightftp"], workers=0)
 
     def test_workers_share_the_root_pages(self):
         campaign = build_parallel_campaign(PROFILES["lightftp"], workers=3,
@@ -61,6 +61,39 @@ class TestFleetConstruction:
                                            seed=0)
         seeds = {w.fuzzer.config.seed for w in campaign.workers}
         assert len(seeds) == 3
+
+
+class TestWorkersBuiltLikeCampaigns:
+    """A worker is built like a single campaign: only its seed, its
+    adopted root and the absent per-worker exec cap differ."""
+
+    def test_workers_fuzz_with_the_target_dictionary(self):
+        profile = PROFILES["exim"]
+        campaign = build_parallel_campaign(profile, workers=2, seed=0)
+        assert profile.dictionary
+        for worker in campaign.workers:
+            assert worker.fuzzer.mutator.dictionary == \
+                list(profile.dictionary)
+
+    def test_explicit_fault_plan_derives_one_plan_per_worker(self):
+        plan = FaultPlan.for_campaign(seed=5, rate=0.05)
+        campaign = build_parallel_campaign(PROFILES["lightftp"], workers=3,
+                                           seed=0, fault_plan=plan.plan_id)
+        injectors = [w.interceptor.injector for w in campaign.workers]
+        assert [i.plan.plan_id for i in injectors] == \
+            [plan.for_worker(w).plan_id for w in range(3)]
+        assert len({i.plan.plan_id for i in injectors}) == 3
+        for worker, injector in zip(campaign.workers, injectors):
+            assert worker.machine.snapshots.injector is injector
+
+    def test_chain_depth_reaches_every_worker(self):
+        campaign = build_parallel_campaign(
+            PROFILES["lightftp"], workers=2, seed=3, policy="bandit",
+            max_chain_depth=4, time_budget=1e9, max_total_execs=400,
+            sync_interval=1.0)
+        aggregate = campaign.run()
+        assert all(w.executor.max_chain_depth == 4 for w in campaign.workers)
+        assert 1 < aggregate.merged.chain_deepest <= 4
 
 
 class TestCorpusSync:
@@ -148,3 +181,25 @@ class TestCliWorkers:
         assert "2 nyx-net-aggressive workers" in out
         assert "shared-root footprint" in out
         assert (tmp_path / "c" / "stats.json").exists()
+
+    def test_fleet_prints_the_reset_sanitizer_line(self, capsys):
+        code = main(["fuzz", "lighttpd", "--workers", "2", "--execs", "600",
+                     "--time", "1e9", "--seed", "1",
+                     "--sanitize-resets=100"])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "reset sanitizer: " in out and " 0 leaks" in out
+
+    def test_fleet_lists_every_workers_leak_and_exits_one(self, capsys,
+                                                          monkeypatch):
+        from repro.analysis.diagnostics import Diagnostic
+        from repro.analysis.sanitizer import ResetSanitizer
+        monkeypatch.setattr(ResetSanitizer, "check", lambda self: [
+            Diagnostic("NYX050", "injected leak", file="fleet")])
+        code = main(["fuzz", "lighttpd", "--workers", "2", "--execs", "60",
+                     "--time", "1e9", "--seed", "1",
+                     "--sanitize-resets=1000"])
+        assert code == 1
+        out = capsys.readouterr().out
+        assert "reset sanitizer: 2 checks, 2 leaks" in out
+        assert out.count("injected leak") == 2

@@ -416,7 +416,7 @@ class TestLeakRegressions:
         handles = build_campaign(PROFILES["lighttpd"], policy="none",
                                  seed=0, time_budget=1e9, max_execs=100)
         seed_input = handles.profile.seeds()[0]
-        handles.executor.run_full(seed_input, snapshot_after_packet=0)
+        handles.executor.run_full(seed_input, snapshot_after_packets=[0])
         assert handles.executor.chain_resume_index(1) is not None
         baseline = handles.executor.run_suffix(seed_input)
         handles.interceptor.listener_sids[999999] = ("0.0.0.0", 8080)

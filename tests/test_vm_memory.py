@@ -217,6 +217,22 @@ class TestRegionAllocator:
         with pytest.raises(MemoryError_):
             alloc.alloc(1)
 
+    def test_rewrite_dirties_only_the_changed_pages(self):
+        # write_blob decides which pages a state flush dirties, and so
+        # what the next reset copies back: unchanged pages stay clean.
+        mem = GuestMemory(8 * PAGE_SIZE)
+        alloc = RegionAllocator(mem)
+        alloc.alloc(PAGE_SIZE)
+        region = alloc.alloc(3 * PAGE_SIZE)
+        blob = bytes(range(256)) * (3 * PAGE_SIZE // 256)
+        blob = blob[:region.size - 8]
+        alloc.write_blob(region, blob)
+        mem.take_dirty()
+        alloc.write_blob(region, blob)
+        assert mem.take_dirty() == []
+        alloc.write_blob(region, blob[:-1] + bytes([blob[-1] ^ 0xFF]))
+        assert mem.take_dirty() == [region.start_page + 2]
+
     def test_bump_pointer_state_roundtrip(self):
         mem = GuestMemory(8 * PAGE_SIZE)
         alloc = RegionAllocator(mem)
